@@ -8,7 +8,7 @@ reverse execution order and accumulates gradients into Parameters.
 
 import numpy as np
 
-_CE_CLAMP = 1e-12
+CE_CLAMP = 1e-12
 
 
 class Tensor:
@@ -191,12 +191,12 @@ def cross_entropy(probs, target_index):
     if np.any(targets < 0) or np.any(targets >= n):
         raise IndexError(f"target index out of range [0,{n})")
     picked = pd2[np.arange(m), targets]
-    clamped = np.maximum(picked, _CE_CLAMP)
+    clamped = np.maximum(picked, CE_CLAMP)
     loss = -np.log(clamped).mean()
 
     def bwd(g):
         gp = np.zeros_like(pd2)
-        live = picked >= _CE_CLAMP  # below the clamp the loss is locally constant
+        live = picked >= CE_CLAMP  # below the clamp the loss is locally constant
         rows = np.arange(m)[live]
         gp[rows, targets[live]] = -float(g) / (m * picked[live])
         return (gp.reshape(pd.shape),)

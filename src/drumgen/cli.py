@@ -7,6 +7,7 @@ values from an optional JSON config file (--config).
 
 import argparse
 import csv
+import dataclasses
 import glob
 import io
 import json
@@ -221,7 +222,32 @@ def cmd_gradcheck(args):
     ok = err <= 1e-4
     print(f"max relative gradient error over {sum(p.data.size for p in params.parameters())} "
           f"parameters: {err:.3e} ({'OK' if ok else 'FAIL'} vs 1e-4)")
-    return 0 if ok else 1
+
+    lane_err = _lane_gradient_error(params, seq, seed)
+    lane_ok = lane_err <= 1e-10
+    print(f"training batch, lane path vs tape path: max relative gradient difference "
+          f"{lane_err:.3e} ({'OK' if lane_ok else 'FAIL'} vs 1e-10)")
+    return 0 if ok and lane_ok else 1
+
+
+def _lane_gradient_error(params, seq, seed):
+    """Max relative difference between the batch gradients of the lane
+    path and the tape path: two lanes of unequal length plus a piece with
+    two slices, dropout 0.2 drawn from equal rngs. The heads are
+    randomized so that every parameter gets a gradient."""
+    rng = np.random.default_rng(seed)
+    for head in params.heads.values():
+        head.W.data[...] = rng.normal(size=head.W.data.shape)
+    params.config = dataclasses.replace(params.config, dropout=0.2)
+    batch = [(0, seq, 0, 3), (0, seq, 3, 6), (1, seq, 0, 2)]
+    grads = []
+    for path in (dm_model.lane_batch_backward, dm_model.tape_batch_backward):
+        for p in params.parameters():
+            p.reset_grad()
+        path(params, batch, {}, np.random.default_rng(seed))
+        grads.append([p.grad.copy() for p in params.parameters()])
+    return max(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), np.finfo(float).tiny)
+               for a, b in zip(*grads))
 
 
 # ---------------------------------------------------------------------------

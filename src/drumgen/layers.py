@@ -1,5 +1,6 @@
 """Network building blocks: linear layers, LSTM cells, stacked LSTM,
-inverted dropout and concatenation merge."""
+inverted dropout and concatenation merge, plus the sequence-level lane
+ops (forward and hand-written backward) that training runs on."""
 
 import numpy as np
 
@@ -101,3 +102,129 @@ def stacked_lstm_step(layers, x, state, dropout_rate, training, rng):
 def concat_merge(parts):
     """Concatenate vectors in the given order."""
     return ad.concat(parts)
+
+
+# ---------------------------------------------------------------------------
+# Sequence-level lane ops for training: plain numpy, no tape. Rows are
+# time-major (row t*B + j is step t of lane j); each op's backward adds
+# into the layer parameters' .grad and returns the input gradient.
+
+def linear_rows(layer, x):
+    """W x + b for every row of x [N x in]."""
+    return x @ layer.W.data.T + layer.b.data
+
+
+def linear_rows_backward(layer, x, dy):
+    layer.W.grad += dy.T @ x
+    layer.b.grad += dy.sum(axis=0)
+
+
+def _gate_affine(n):
+    """Per-column (scale, shift) turning tanh into the LSTM gate
+    activations: sigmoid(z) = 0.5 tanh(z/2) + 0.5 on i, f, o; tanh on g."""
+    scale = np.full(4 * n, 0.5)
+    scale[2 * n:3 * n] = 1.0
+    shift = scale.copy()
+    shift[2 * n:3 * n] = 0.0
+    return scale, shift
+
+
+def lstm_lanes_forward(layer, x, h0, c0):
+    """One LSTM layer over T steps of B independent lanes.
+
+    x is [T, B, in], h0 and c0 are [B, hidden]. Wx x + bias is one GEMM
+    over all T*B rows; only Wh h and the gate math run per step. Returns
+    (hs, cs, cache): hs and cs are [T+1, B, hidden], row 0 the initial
+    state; cache feeds lstm_lanes_backward.
+    """
+    steps, lanes, _ = x.shape
+    n = layer.hidden
+    gates = (x.reshape(steps * lanes, -1) @ layer.Wx.data.T).reshape(steps, lanes, 4 * n)
+    gates += layer.bias.data
+    scale, shift = _gate_affine(n)
+    hs = np.empty((steps + 1, lanes, n))
+    cs = np.empty((steps + 1, lanes, n))
+    hs[0] = h0
+    cs[0] = c0
+    wh_t = layer.Wh.data.T
+    for t in range(steps):
+        z = gates[t]
+        z += hs[t] @ wh_t
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        c = cs[t + 1]
+        np.multiply(z[:, n:2 * n], cs[t], out=c)
+        c += z[:, :n] * z[:, 2 * n:3 * n]
+        h = hs[t + 1]
+        np.tanh(c, out=h)
+        h *= z[:, 3 * n:]
+    return hs, cs, (x, gates, hs, cs)
+
+
+def lstm_lanes_backward(layer, cache, dh_out):
+    """Truncated BPTT through lstm_lanes_forward.
+
+    dh_out [T, B, hidden] is the loss gradient at each step's output h;
+    no gradient flows into the initial state. The gate buffer is reused
+    for dZ, which then forms dWx = dZ^T x and dWh = dZ^T h_prev as single
+    GEMMs. Returns dx [T, B, in].
+    """
+    x, gates, hs, cs = cache
+    steps, lanes, width = gates.shape
+    n = width // 4
+    wh = layer.Wh.data
+    tanh_c = np.tanh(cs[1:])
+    dh = np.zeros((lanes, n))
+    dc = np.zeros((lanes, n))
+    for t in range(steps - 1, -1, -1):
+        z = gates[t]
+        i, f, g, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
+        tc = tanh_c[t]
+        dh += dh_out[t]
+        dc += dh * o * (1.0 - tc * tc)
+        d_o = dh * tc * o * (1.0 - o)
+        d_i = dc * g * i * (1.0 - i)
+        d_g = dc * i * (1.0 - g * g)
+        d_f = dc * cs[t] * f * (1.0 - f)
+        dc *= f
+        z[:, :n] = d_i
+        z[:, n:2 * n] = d_f
+        z[:, 2 * n:3 * n] = d_g
+        z[:, 3 * n:] = d_o
+        np.matmul(z, wh, out=dh)
+    dz = gates.reshape(steps * lanes, width)
+    layer.Wx.grad += dz.T @ x.reshape(steps * lanes, -1)
+    layer.Wh.grad += dz.T @ hs[:-1].reshape(steps * lanes, n)
+    layer.bias.grad += dz.sum(axis=0)
+    return (dz @ layer.Wx.data).reshape(x.shape)
+
+
+def head_ce_lanes(head, h_top, post, targets, weights):
+    """Softmax head over rows [h_top, post] with weighted cross-entropy.
+
+    Forward and backward at once: returns (ce, d_top, d_post) where ce
+    is each row's -ln p[target] (p clamped at 1e-12, as in
+    autodiff.cross_entropy) and the gradients are those of
+    sum(weights * ce). Adds into the head's .grad.
+    """
+    n = h_top.shape[1]
+    w = head.W.data
+    probs = h_top @ w[:, :n].T
+    probs += post @ w[:, n:].T
+    probs += head.b.data
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = np.arange(len(targets))
+    picked = probs[rows, targets]
+    ce = -np.log(np.maximum(picked, ad.CE_CLAMP))
+    # d ce / d logits = p - onehot(target); zero below the clamp
+    dlogits = probs
+    dlogits[rows, targets] -= 1.0
+    dlogits *= np.where(picked >= ad.CE_CLAMP, weights, 0.0)[:, None]
+    head.W.grad[:, :n] += dlogits.T @ h_top
+    head.W.grad[:, n:] += dlogits.T @ post
+    head.b.grad += dlogits.sum(axis=0)
+    return ce, dlogits @ w[:, :n], dlogits @ w[:, n:]

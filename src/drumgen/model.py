@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, backward
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
-    dropout_apply, concat_merge
+    dropout_apply, concat_merge, linear_rows, linear_rows_backward, \
+    lstm_lanes_forward, lstm_lanes_backward, head_ce_lanes
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM
 from .ioutil import atomic_write_text
 
@@ -159,6 +160,160 @@ def sequence_loss(params, seq, start=0, end=None, training=False, rng=None,
 
 
 # ---------------------------------------------------------------------------
+# Lane-batched training step: sequence-level ops with hand-written BPTT.
+# Same loss, gradients and dropout draws as sequence_loss + backward run
+# slice by slice (tape_batch_backward), up to float rounding.
+
+def _dropout_widths(config):
+    """Widths of one step's dropout masks in forward_step's draw order:
+    pre-FF, post-FF, then per stream the stack input, each connection
+    between layers and the top output."""
+    h = config.hidden
+    widths = [h, h]
+    for vocab in config.vocab_sizes:
+        widths += [vocab + h] + [h] * config.lstm_layers
+    return widths
+
+
+def _wave(params, slices, states, keeps):
+    """Forward and backward over one wave: slices [(seq, a, b)] of
+    different pieces side by side as lanes, padded to the longest with
+    loss weight 0. states holds each lane's initial state (None = zeros),
+    keeps its [b-a x sum(_dropout_widths)] keep mask (None without
+    dropout). Returns each slice's mean loss and end state."""
+    cfg = params.config
+    h = cfg.hidden
+    lengths = [b - a for _, a, b in slices]
+    steps, lanes = max(lengths), len(slices)
+    rows = steps * lanes
+
+    def time_major(arrays, dtype=np.float64):
+        """Per-lane [n x w] arrays as [steps*lanes x w] rows, zero padded."""
+        out = np.zeros((steps, lanes, arrays[0].shape[1]), dtype)
+        for j, arr in enumerate(arrays):
+            out[:len(arr), j] = arr
+        return out.reshape(rows, -1)
+
+    words = time_major([seq.inputs[a:b] for seq, a, b in slices], np.intp)
+    targets = time_major([seq.targets[a:b] for seq, a, b in slices], np.intp)
+    pre = time_major([seq.pre[a:b] for seq, a, b in slices])
+    post = time_major([seq.post[a:b] for seq, a, b in slices])
+    weights = time_major([np.full((n, 1), 1.0 / n) for n in lengths]).ravel()
+    mask = None if keeps[0] is None else time_major(keeps, bool)
+    keep_scale = 1.0 / (1.0 - cfg.dropout)
+    bounds = np.cumsum([0] + _dropout_widths(cfg))
+    columns = iter(zip(bounds[:-1], bounds[1:]))
+
+    def drop(x, cols):
+        """Inverted dropout in place with the mask columns cols; the same
+        product maps an output gradient to its input gradient."""
+        if mask is not None:
+            x *= mask[:, cols[0]:cols[1]]
+            x *= keep_scale
+        return x
+
+    pre_cols, post_cols = next(columns), next(columns)
+    pre_out = drop(linear_rows(params.pre_ff, pre), pre_cols)
+    post_out = drop(linear_rows(params.post_ff, post), post_cols)
+    d_pre = np.zeros_like(pre_out)
+    d_post = np.zeros_like(post_out)
+    ce = np.zeros(rows)
+    ends = [{} for _ in range(lanes)]
+    for si, s in enumerate(STREAM_NAMES):
+        vocab = cfg.vocab_sizes[si]
+        x = np.zeros((rows, vocab + h))
+        x[np.arange(rows), words[:, si]] = 1.0
+        x[:, vocab:] = pre_out
+        stack = params.lstm_stacks[s]
+        layer_cols = [next(columns) for _ in stack]
+        caches = []
+        for li, layer in enumerate(stack):
+            if li:
+                x = hs[1:].reshape(rows, h).copy()
+            drop(x, layer_cols[li])
+            h0 = np.stack([np.zeros(h) if st is None else st[s][li][0].data for st in states])
+            c0 = np.stack([np.zeros(h) if st is None else st[s][li][1].data for st in states])
+            hs, cs, cache = lstm_lanes_forward(layer, x.reshape(steps, lanes, -1), h0, c0)
+            caches.append(cache)
+            for j, n in enumerate(lengths):
+                ends[j].setdefault(s, []).append(
+                    [Tensor(hs[n, j].copy()), Tensor(cs[n, j].copy())])
+        top_cols = next(columns)
+        top = drop(hs[1:].reshape(rows, h).copy(), top_cols)
+        ce_s, d_top, d_post_s = head_ce_lanes(params.heads[s], top, post_out,
+                                              targets[:, si], weights)
+        ce += ce_s
+        d_post += d_post_s
+        dh = drop(d_top, top_cols)
+        for li in range(len(stack) - 1, -1, -1):
+            dx = lstm_lanes_backward(stack[li], caches[li], dh.reshape(steps, lanes, h))
+            dh = drop(dx.reshape(rows, -1), layer_cols[li])
+        d_pre += dh[:, vocab:]
+    linear_rows_backward(params.pre_ff, pre, drop(d_pre, pre_cols))
+    linear_rows_backward(params.post_ff, post, drop(d_post, post_cols))
+
+    # per-slice mean loss, summed over steps in order as sequence_loss does
+    ce = ce.reshape(steps, lanes)
+    ce[weights.reshape(steps, lanes) == 0.0] = 0.0
+    total = ce[0].copy()
+    for row in ce[1:]:
+        total += row
+    return [float(total[j] * (1.0 / n)) for j, n in enumerate(lengths)], ends
+
+
+def lane_batch_backward(params, batch, carry, rng):
+    """Loss and gradients of one training batch, run as lanes.
+
+    batch lists (key, seq, a, b) slices in training order; the slices of
+    one piece (one key) are consecutive. Slices of different pieces run
+    side by side as lanes; slices of one piece run one after another in
+    waves, each from the detached end state of the one before. A piece
+    whose first slice here starts at a > 0 starts from carry[key], else
+    from zeros. Each slice's dropout masks are drawn in one rng call, in
+    batch order, giving forward_step's draws bit for bit.
+
+    Adds the gradient of the summed per-slice mean losses into every
+    parameter's .grad. Returns (the per-slice mean losses in batch order,
+    {key: detached end state of the piece's last slice here}).
+    """
+    rate = params.config.dropout
+    width = sum(_dropout_widths(params.config))
+    keeps = [rng.random((b - a, width)) >= rate if rate > 0.0 else None
+             for _, _, a, b in batch]
+    groups = {}
+    for i, (key, _, _, _) in enumerate(batch):
+        groups.setdefault(key, []).append(i)
+    states = {key: carry[key] if batch[idx[0]][2] > 0 else None
+              for key, idx in groups.items()}
+    losses = [None] * len(batch)
+    for wave in range(max(len(idx) for idx in groups.values())):
+        lanes = [idx[wave] for idx in groups.values() if len(idx) > wave]
+        keys = [batch[i][0] for i in lanes]
+        wave_losses, ends = _wave(params, [batch[i][1:] for i in lanes],
+                                  [states[k] for k in keys], [keeps[i] for i in lanes])
+        for i, loss in zip(lanes, wave_losses):
+            losses[i] = loss
+        states.update(zip(keys, ends))
+    return losses, states
+
+
+def tape_batch_backward(params, batch, carry, rng):
+    """Reference for lane_batch_backward, with the same arguments and
+    results: each slice through sequence_loss and the tape in turn."""
+    losses = []
+    states = {}
+    for key, seq, a, b in batch:
+        state = detach_state(states.get(key, carry.get(key))) if a > 0 else None
+        with Tape() as tape:
+            loss, state = sequence_loss(params, seq, a, b, training=True,
+                                        rng=rng, state=state)
+        backward(loss, tape)
+        states[key] = detach_state(state)
+        losses.append(float(loss.data))
+    return losses, states
+
+
+# ---------------------------------------------------------------------------
 # Optimizer
 
 def clip_global_norm(grads, max_norm):
@@ -197,19 +352,27 @@ class Optimizer:
                         for p in params.parameters()}
 
     def step(self, grad_scale=1.0):
+        """Scale, clip and apply the accumulated gradients; returns the
+        global gradient norm before clipping."""
         plist = self.params.parameters()
         if grad_scale != 1.0:
             for p in plist:
                 p.grad *= grad_scale
-        clip_global_norm([p.grad for p in plist], self.params.config.grad_clip_norm)
+        norm = clip_global_norm([p.grad for p in plist],
+                                self.params.config.grad_clip_norm)
         self.t += 1
         adam_step(plist, self.moments, self.params.config.learning_rate, self.t)
         for p in plist:
             p.reset_grad()
+        return norm
 
 
 # ---------------------------------------------------------------------------
 # Training
+
+class CheckpointError(Exception):
+    pass
+
 
 @dataclass
 class Checkpoint:
@@ -234,8 +397,24 @@ def make_checkpoint(params, opt, rng, epoch, loss_history):
     )
 
 
+def _check_arrays(what, arrays, expected):
+    """Raise CheckpointError unless arrays has exactly the names of
+    expected ({name: shape}) with those shapes."""
+    missing = sorted(set(expected) - set(arrays))
+    extra = sorted(set(arrays) - set(expected))
+    if missing or extra:
+        raise CheckpointError(f"checkpoint {what} do not match its config: "
+                              f"missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        if np.shape(arrays[name]) != shape:
+            raise CheckpointError(f"checkpoint {what} {name!r} has shape "
+                                  f"{np.shape(arrays[name])}, its config needs {shape}")
+
+
 def params_from_checkpoint(ckpt):
     params = ModelParams(ckpt.config, np.random.default_rng(0))
+    shapes = {p.name: p.data.shape for p in params.parameters()}
+    _check_arrays("tensors", ckpt.tensors, shapes)
     for p in params.parameters():
         p.data[...] = ckpt.tensors[p.name]
     return params
@@ -243,6 +422,9 @@ def params_from_checkpoint(ckpt):
 
 def _restore_training(ckpt):
     params = params_from_checkpoint(ckpt)
+    shapes = {p.name: p.data.shape for p in params.parameters()}
+    for k, what in enumerate(("first moments", "second moments")):
+        _check_arrays(what, {n: mv[k] for n, mv in ckpt.moments.items()}, shapes)
     opt = Optimizer(params)
     opt.t = ckpt.adam_t
     for name, (m, v) in ckpt.moments.items():
@@ -258,6 +440,32 @@ def _slice_ranges(n, seq_len):
     return [(a, min(a + seq_len, n)) for a in range(0, n, seq_len)]
 
 
+def _check_piece(seq, config, index):
+    """Raise ValueError unless piece index has the shapes, word indices and
+    pre/post windows (prefix sums of cond) that config expects."""
+    steps = len(seq)
+    if steps == 0:
+        raise ValueError(f"piece {index} is empty")
+    if seq.cond.shape != (steps, config.condition_dim) or \
+            seq.pre.shape != seq.cond.shape or seq.post.shape != seq.cond.shape:
+        raise ValueError(f"piece {index}: cond/pre/post must be [{steps} x "
+                         f"{config.condition_dim}]")
+    vocab = np.asarray(config.vocab_sizes)
+    for name in ("inputs", "targets"):
+        words = getattr(seq, name)
+        if words.shape != (steps, 3) or words.min() < 0 or np.any(words.max(axis=0) >= vocab):
+            raise ValueError(f"piece {index}: {name} must be [{steps} x 3] word "
+                             f"indices inside the vocabularies {config.vocab_sizes}")
+    sums = np.concatenate([np.zeros((1, seq.cond.shape[1])), np.cumsum(seq.cond, axis=0)])
+    t = np.arange(steps)
+    pre = sums[t] - sums[np.maximum(t - config.w_past, 0)]
+    post = sums[np.minimum(t + config.w_future + 1, steps)] - sums[t]
+    # one-hot sums are exact integers, so exact comparison is safe
+    if not (np.array_equal(seq.pre, pre) and np.array_equal(seq.post, post)):
+        raise ValueError(f"piece {index}: pre/post windows do not match "
+                         f"w_past={config.w_past}, w_future={config.w_future}")
+
+
 def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
           resume=None, log_every=0):
     """Seeded training over a list of EncodedSequence pieces.
@@ -265,8 +473,9 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     Per epoch: shuffle pieces, cut each into seq_len slices (recurrent
     state persists across a piece's slices, resets between pieces), and
     take one clipped Adam step per batch_size slices on the averaged
-    gradients. Returns checkpoints at each snapshot epoch plus the final
-    epoch.
+    gradients. Each batch runs as lanes (lane_batch_backward). Returns
+    checkpoints at each snapshot epoch plus the final epoch. Raises
+    FloatingPointError on a non-finite batch loss or gradient norm.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -281,31 +490,30 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         config = params.config
         start_epoch = resume.epoch
         loss_history = list(resume.loss_history)
+    for index, seq in enumerate(corpus):
+        _check_piece(seq, config, index)
 
     checkpoints = []
     snaps = {e for e in snapshot_epochs if start_epoch < e <= epochs}
     for epoch in range(start_epoch + 1, epochs + 1):
         order = rng.permutation(len(corpus))
+        slices = [(int(pi), corpus[pi], a, b) for pi in order
+                  for a, b in _slice_ranges(len(corpus[pi]), config.seq_len)]
         loss_sum = 0.0
         step_count = 0
-        pending = 0
-        for pi in order:
-            seq = corpus[pi]
-            state = None
-            for a, b in _slice_ranges(len(seq), config.seq_len):
-                with Tape() as tape:
-                    loss, state = sequence_loss(params, seq, a, b,
-                                                training=True, rng=rng, state=state)
-                backward(loss, tape)
-                state = detach_state(state)
-                loss_sum += float(loss.data) * (b - a)
+        carry = {}
+        for k in range(0, len(slices), config.batch_size):
+            batch = slices[k:k + config.batch_size]
+            losses, carry = lane_batch_backward(params, batch, carry, rng)
+            for (_, _, a, b), loss in zip(batch, losses):
+                loss_sum += loss * (b - a)
                 step_count += b - a
-                pending += 1
-                if pending == config.batch_size:
-                    opt.step(grad_scale=1.0 / pending)
-                    pending = 0
-        if pending:
-            opt.step(grad_scale=1.0 / pending)
+            norm = opt.step(grad_scale=1.0 / len(batch))
+            if not (np.isfinite(norm) and np.isfinite(sum(losses))):
+                pieces = sorted({key for key, _, _, _ in batch})
+                raise FloatingPointError(
+                    f"epoch {epoch}: non-finite loss or gradient norm in the batch "
+                    f"of pieces {pieces} (loss {sum(losses)}, gradient norm {norm})")
         loss_history.append(loss_sum / step_count)
         if log_every and epoch % log_every == 0:
             print(f"epoch {epoch}: per-step loss {loss_history[-1]:.4f}")
@@ -350,10 +558,6 @@ def save_checkpoint(ckpt, path):
     payload["config"]["vocab_sizes"] = list(payload["config"]["vocab_sizes"])
     doc = {"checksum": _payload_checksum(payload), **payload}
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
-
-
-class CheckpointError(Exception):
-    pass
 
 
 def load_checkpoint(path):

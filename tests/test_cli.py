@@ -60,7 +60,10 @@ def test_config_file_with_unknown_keys_rejected(tmp_path, capsys):
 
 def test_gradcheck_passes(capsys):
     assert run_cli(["gradcheck", "--seed", "3"]) == 0
-    assert "OK" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and "OK" in lines[0]
+    assert lines[1].startswith("training batch, lane path vs tape path")
+    assert lines[1].endswith("(OK vs 1e-10)")
 
 
 @pytest.fixture(scope="module")

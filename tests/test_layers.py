@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from drumgen import autodiff as ad
 from drumgen.autodiff import Tensor, finite_diff_check
 from drumgen.layers import (LinearLayer, LSTMLayer, concat_merge,
-                            dropout_apply, lstm_step, stacked_lstm_step)
+                            dropout_apply, lstm_lanes_forward, lstm_step,
+                            stacked_lstm_step)
 
 
 def make_linear(w, b):
@@ -196,3 +197,18 @@ def test_merge_then_split_roundtrip():
     merged = concat_merge([a, b])
     npt.assert_array_equal(ad.slice_vec(merged, 0, 3).data, a.data)
     npt.assert_array_equal(ad.slice_vec(merged, 3, 7).data, b.data)
+
+
+def test_lstm_lanes_forward_matches_lstm_step():
+    rng = np.random.default_rng(3)
+    layer = LSTMLayer(3, 2, rng)
+    x = rng.normal(size=(5, 2, 2))  # 5 steps, 2 lanes
+    h0 = rng.normal(size=(2, 3))
+    c0 = rng.normal(size=(2, 3))
+    hs, cs, _ = lstm_lanes_forward(layer, x, h0, c0)
+    for j in range(2):
+        state = [Tensor(h0[j]), Tensor(c0[j])]
+        for t in range(5):
+            state = lstm_step(layer, Tensor(x[t, j]), state)
+            npt.assert_allclose(hs[t + 1, j], state[0].data, rtol=0, atol=1e-15)
+            npt.assert_allclose(cs[t + 1, j], state[1].data, rtol=0, atol=1e-15)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -290,3 +292,113 @@ def test_checkpoint_version_mismatch(tiny_corpus, tmp_path):
 def test_missing_checkpoint_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nope.json")
+
+
+# ---------------------------------------------------------------------------
+# Lane-batched training step against the per-step tape path
+
+def randomized_heads(params, seed):
+    """Heads start at zero, which blocks every gradient below them."""
+    rng = np.random.default_rng(seed)
+    for s in STREAM_NAMES:
+        params.heads[s].W.data[...] = rng.normal(size=params.heads[s].W.data.shape)
+
+
+def run_batch(fn, params, batch, carry, seed):
+    rng = np.random.default_rng(seed)
+    losses, states = fn(params, batch, carry, rng)
+    grads = {p.name: p.grad.copy() for p in params.parameters()}
+    for p in params.parameters():
+        p.reset_grad()
+    return losses, states, grads, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_lane_batch_matches_tape_path(tiny_corpus, dropout):
+    params = init_params(tiny_config(dropout=dropout, hidden=5), np.random.default_rng(10))
+    randomized_heads(params, 11)
+    a, b = tiny_corpus
+    # piece 0 carries its state over from the previous batch
+    _, carry = dm.tape_batch_backward(params, [(0, a, 0, 8)], {}, np.random.default_rng(12))
+    for p in params.parameters():
+        p.reset_grad()
+    # lanes of 8, 8 and 5 steps; piece 1 has two slices in the batch
+    batch = [(0, a, 8, 16), (1, b, 0, 8), (1, b, 8, 13), (2, a, 0, 5)]
+    tape = run_batch(dm.tape_batch_backward, params, batch, carry, 13)
+    lane = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
+
+    npt.assert_allclose(lane[0], tape[0], rtol=1e-12)
+    assert sorted(lane[1]) == sorted(tape[1]) == [0, 1, 2]
+    for key in tape[1]:
+        for s in STREAM_NAMES:
+            for (h1, c1), (h2, c2) in zip(lane[1][key][s], tape[1][key][s]):
+                npt.assert_allclose(h1.data, h2.data, rtol=0, atol=1e-12)
+                npt.assert_allclose(c1.data, c2.data, rtol=0, atol=1e-12)
+    for name, g in tape[2].items():
+        assert np.any(g != 0.0), name
+        err = np.max(np.abs(lane[2][name] - g)) / np.max(np.abs(g))
+        assert err <= 1e-10, (name, err)
+    assert lane[3] == tape[3]
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_train_matches_tape_step(tiny_corpus, monkeypatch, batch_size):
+    """Whole epochs: batching, carried state and dropout draws line up."""
+    cfg = tiny_config(batch_size=batch_size, seq_len=24)
+    lane = train(tiny_corpus, cfg, epochs=2, snapshot_epochs=(), seed=14)[-1]
+    monkeypatch.setattr(dm, "lane_batch_backward", dm.tape_batch_backward)
+    tape = train(tiny_corpus, cfg, epochs=2, snapshot_epochs=(), seed=14)[-1]
+    npt.assert_allclose(lane.loss_history, tape.loss_history, rtol=1e-12)
+    assert lane.rng_state == tape.rng_state
+    for name, arr in tape.tensors.items():
+        npt.assert_allclose(lane.tensors[name], arr, rtol=0, atol=1e-12)
+
+
+def test_optimizer_step_returns_norm_before_clipping():
+    params = init_params(tiny_config(), np.random.default_rng(15))
+    plist = params.parameters()
+    plist[0].grad[...] = 3.0
+    norm = Optimizer(params).step(grad_scale=0.5)
+    npt.assert_allclose(norm, 1.5 * np.sqrt(plist[0].data.size))
+
+
+def test_train_raises_on_non_finite_values(tiny_corpus):
+    ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=16)[-1]
+    ckpt.tensors["H.lstm1.Wh"][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"epoch 2: .*pieces \[[01]"):
+        train(tiny_corpus, tiny_config(), epochs=2, snapshot_epochs=(), resume=ckpt)
+
+
+def test_train_rejects_windows_of_other_lengths():
+    cfg = SynthConfig(n_songs=1, bars_per_song=2, meters=((4, 4),), seed=17)
+    seq = encode_sequence(quantize_song(synth_songs(STYLES["synthrock"], cfg)[0]), 8, 8)
+    with pytest.raises(ValueError, match="piece 0: pre/post windows .* w_past=4"):
+        train([seq], tiny_config(), epochs=1)
+
+
+def test_train_rejects_non_finite_window(tiny_corpus):
+    bad = copy.deepcopy(tiny_corpus[1])
+    bad.pre[3, 0] = np.nan
+    with pytest.raises(ValueError, match="piece 1: pre/post windows"):
+        train([tiny_corpus[0], bad], tiny_config(), epochs=1)
+
+
+def test_checkpoint_tensor_of_wrong_shape_rejected(tiny_corpus):
+    ckpt = train(tiny_corpus, tiny_config(), epochs=0, snapshot_epochs=(), seed=18)[-1]
+    ckpt.tensors["K.lstm1.bias"] = np.zeros(1)
+    with pytest.raises(dm.CheckpointError, match="K.lstm1.bias.*shape"):
+        dm.params_from_checkpoint(ckpt)
+
+
+def test_checkpoint_missing_tensor_rejected(tiny_corpus):
+    ckpt = train(tiny_corpus, tiny_config(), epochs=0, snapshot_epochs=(), seed=18)[-1]
+    del ckpt.tensors["K.head.b"]
+    with pytest.raises(dm.CheckpointError, match="missing \\['K.head.b'\\]"):
+        dm.params_from_checkpoint(ckpt)
+
+
+def test_train_rejects_word_outside_vocabulary(tiny_corpus):
+    bad = copy.deepcopy(tiny_corpus[0])
+    bad.targets[5, 0] = 4  # K vocabulary has 4 words
+    with pytest.raises(ValueError, match="piece 0: targets"):
+        train([bad], tiny_config(), epochs=1)
