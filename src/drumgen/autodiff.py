@@ -244,7 +244,8 @@ def finite_diff_check(f, params, h=1e-5):
 
     f is a zero-argument callable rebuilding the scalar loss from the
     current parameter values. Relative error per scalar parameter is
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    |analytic - numeric| / max(1, |analytic|, |numeric|). Leaves every
+    parameter's .grad at zero.
     """
     for p in params:
         p.reset_grad()
@@ -252,6 +253,8 @@ def finite_diff_check(f, params, h=1e-5):
         loss = f()
     backward(loss, tape)
     analytic = [p.grad.copy() for p in params]
+    for p in params:
+        p.reset_grad()
 
     worst = 0.0
     for p, ga in zip(params, analytic):

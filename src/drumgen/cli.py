@@ -155,14 +155,14 @@ def cmd_train(args):
 
 def cmd_generate(args):
     cfg = _load_config_file(args.config)
-    ckpt = dm_model.load_checkpoint(args.checkpoint)
-    song = load_song(args.conditions)
-    track = sampling.condition_track_from_song(song)
     gc = sampling.GenerationConfig(
         temperature=float(_opt(args, cfg, "temperature", 1.0)),
         seed_steps=int(_opt(args, cfg, "seed_steps", 16)),
         rng_seed=int(_opt(args, cfg, "seed", 0)),
     )
+    ckpt = dm_model.load_checkpoint(args.checkpoint)
+    song = load_song(args.conditions)
+    track = sampling.condition_track_from_song(song)
     words = sampling.generate(ckpt, track, gc)
     out_song = Song(title=f"{song.title}+generated", bars=song.bars,
                     guitar=song.guitar, bass=song.bass,

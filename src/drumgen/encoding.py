@@ -237,6 +237,20 @@ def window_post(cond, t, w_f):
     return cond[t:hi].sum(axis=0)
 
 
+def condition_windows(cond, w_p, w_f):
+    """window_pre and window_post at every step of cond [T x d], as two
+    [T x d] arrays taken from prefix sums. For integer-valued cond (the
+    one-hot condition vectors) they equal the per-step sums exactly."""
+    cond = np.asarray(cond, dtype=np.float64)
+    steps = len(cond)
+    sums = np.zeros((steps + 1, cond.shape[1]))
+    np.cumsum(cond, axis=0, out=sums[1:])
+    t = np.arange(steps)
+    pre = sums[t] - sums[np.maximum(t - w_p, 0)]
+    post = sums[np.minimum(t + w_f + 1, steps)] - sums[t]
+    return pre, post
+
+
 @dataclass
 class EncodedSequence:
     """Aligned per-step training arrays for one piece.
@@ -264,8 +278,7 @@ def encode_sequence(grid, w_p=4, w_f=4):
     inputs = np.zeros_like(targets)
     inputs[1:] = targets[:-1]
     cond = condition_matrix(grid)
-    pre = np.stack([window_pre(cond, t, w_p) for t in range(total)])
-    post = np.stack([window_post(cond, t, w_f) for t in range(total)])
+    pre, post = condition_windows(cond, w_p, w_f)
     return EncodedSequence(inputs, targets, cond, pre, post, grid.steps_per_bar.copy())
 
 

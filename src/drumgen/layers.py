@@ -1,6 +1,6 @@
 """Network building blocks: linear layers, LSTM cells, stacked LSTM,
-inverted dropout and concatenation merge, plus the sequence-level lane
-ops (forward and hand-written backward) that training runs on."""
+inverted dropout and concatenation merge, plus the lane ops (plain
+numpy, no tape) that training and generation run on."""
 
 import numpy as np
 
@@ -34,18 +34,21 @@ class LinearLayer:
 class LSTMLayer:
     """Single LSTM layer with fused gate weights, gate order (i, f, g, o).
 
-    Forget-gate bias slice starts at 1.0.
+    Forget-gate bias slice starts at 1.0. Without an rng the weights
+    start at zero (no Glorot draws), for values about to be overwritten.
     """
 
-    def __init__(self, hidden, in_dim, rng, name="lstm"):
+    def __init__(self, hidden, in_dim, rng=None, name="lstm"):
         self.hidden = hidden
         self.in_dim = in_dim
-        self.Wx = Parameter(
-            glorot_uniform(rng, in_dim, 4 * hidden, (4 * hidden, in_dim)),
-            name=f"{name}.Wx")
-        self.Wh = Parameter(
-            glorot_uniform(rng, hidden, 4 * hidden, (4 * hidden, hidden)),
-            name=f"{name}.Wh")
+        wx_shape, wh_shape = (4 * hidden, in_dim), (4 * hidden, hidden)
+        if rng is None:
+            wx, wh = np.zeros(wx_shape), np.zeros(wh_shape)
+        else:
+            wx = glorot_uniform(rng, in_dim, 4 * hidden, wx_shape)
+            wh = glorot_uniform(rng, hidden, 4 * hidden, wh_shape)
+        self.Wx = Parameter(wx, name=f"{name}.Wx")
+        self.Wh = Parameter(wh, name=f"{name}.Wh")
         bias = np.zeros(4 * hidden)
         bias[hidden:2 * hidden] = 1.0
         self.bias = Parameter(bias, name=f"{name}.bias")
@@ -105,13 +108,14 @@ def concat_merge(parts):
 
 
 # ---------------------------------------------------------------------------
-# Sequence-level lane ops for training: plain numpy, no tape. Rows are
-# time-major (row t*B + j is step t of lane j); each op's backward adds
-# into the layer parameters' .grad and returns the input gradient.
+# Lane ops: plain numpy, no tape. Rows are time-major (row t*B + j is
+# step t of lane j); each op's backward adds into the layer parameters'
+# .grad and returns the input gradient.
 
-def linear_rows(layer, x):
-    """W x + b for every row of x [N x in]."""
-    return x @ layer.W.data.T + layer.b.data
+def linear_rows(x, w, b):
+    """w x + b for every row of x [N x in]; w may be a column-slice view
+    of a larger weight matrix."""
+    return x @ w.T + b
 
 
 def linear_rows_backward(layer, x, dy):
@@ -150,17 +154,31 @@ def lstm_lanes_forward(layer, x, h0, c0):
     for t in range(steps):
         z = gates[t]
         z += hs[t] @ wh_t
-        z *= scale
-        np.tanh(z, out=z)
-        z *= scale
-        z += shift
-        c = cs[t + 1]
-        np.multiply(z[:, n:2 * n], cs[t], out=c)
-        c += z[:, :n] * z[:, 2 * n:3 * n]
-        h = hs[t + 1]
-        np.tanh(c, out=h)
-        h *= z[:, 3 * n:]
+        lstm_cell_lanes(z, cs[t], scale, shift, cs[t + 1], hs[t + 1])
     return hs, cs, (x, gates, hs, cs)
+
+
+def lstm_cell_lanes(z, c_prev, scale, shift, c_out, h_out):
+    """Gate math of one step for B lanes: turns the pre-activations z
+    [B, 4*hidden] into the gate activations in place and writes the new
+    cell and hidden state into c_out and h_out (c_out may be c_prev)."""
+    n = c_prev.shape[1]
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    np.multiply(z[:, n:2 * n], c_prev, out=c_out)
+    c_out += z[:, :n] * z[:, 2 * n:3 * n]
+    np.tanh(c_out, out=h_out)
+    h_out *= z[:, 3 * n:]
+
+
+def softmax_rows_inplace(logits):
+    """Row-wise softmax with max subtraction, in place; returns logits."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def lstm_lanes_backward(layer, cache, dh_out):
@@ -214,9 +232,7 @@ def head_ce_lanes(head, h_top, post, targets, weights):
     probs = h_top @ w[:, :n].T
     probs += post @ w[:, n:].T
     probs += head.b.data
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    softmax_rows_inplace(probs)
     rows = np.arange(len(targets))
     picked = probs[rows, targets]
     ce = -np.log(np.maximum(picked, ad.CE_CLAMP))

@@ -8,8 +8,10 @@ module output onto each stack's top hidden state before the head.
 
 import base64
 import copy
+import functools
 import hashlib
 import json
+import types
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -18,8 +20,9 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape, backward
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
     dropout_apply, concat_merge, linear_rows, linear_rows_backward, \
-    lstm_lanes_forward, lstm_lanes_backward, head_ce_lanes
-from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM
+    lstm_lanes_forward, lstm_lanes_backward, head_ce_lanes, lstm_cell_lanes, \
+    softmax_rows_inplace, _gate_affine
+from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows
 from .ioutil import atomic_write_text
 
 CHECKPOINT_VERSION = 1
@@ -58,9 +61,11 @@ class ModelConfig:
 class ModelParams:
     """All weights: 2 shared FF condition modules, and per stream a
     stacked LSTM (layer-1 input = vocab + hidden) plus a zero-initialized
-    softmax head over [h_top, post-FF] of width 2*hidden."""
+    softmax head over [h_top, post-FF] of width 2*hidden. Without an rng
+    nothing is drawn and the weights start at zero, for a layout whose
+    values are about to be overwritten."""
 
-    def __init__(self, config, rng):
+    def __init__(self, config, rng=None):
         h = config.hidden
         self.config = config
         self.pre_ff = LinearLayer(h, config.condition_dim, rng, name="pre_ff")
@@ -213,8 +218,8 @@ def _wave(params, slices, states, keeps):
         return x
 
     pre_cols, post_cols = next(columns), next(columns)
-    pre_out = drop(linear_rows(params.pre_ff, pre), pre_cols)
-    post_out = drop(linear_rows(params.post_ff, post), post_cols)
+    pre_out = drop(linear_rows(pre, params.pre_ff.W.data, params.pre_ff.b.data), pre_cols)
+    post_out = drop(linear_rows(post, params.post_ff.W.data, params.post_ff.b.data), post_cols)
     d_pre = np.zeros_like(pre_out)
     d_post = np.zeros_like(post_out)
     ce = np.zeros(rows)
@@ -311,6 +316,68 @@ def tape_batch_backward(params, batch, carry, rng):
         states[key] = detach_state(state)
         losses.append(float(loss.data))
     return losses, states
+
+
+# ---------------------------------------------------------------------------
+# Tape-free inference
+
+class InferenceRun:
+    """A checkpoint's forward pass over one condition track, one time step
+    per step() call, without the tape and with dropout off.
+
+    What does not depend on the fed-back words is one GEMM over all steps,
+    done here: the pre/post windows (prefix sums), pre-FF and post-FF,
+    layer 1's condition columns plus bias, and each head's post-FF half
+    plus bias. A step gathers layer 1's word column and runs the recurrent
+    and upper-layer products, the gate math and the heads' h_top half, on
+    single rows so that it shares the lane ops of training. Weights are
+    views of ckpt.tensors, checked against the config. Probabilities match
+    forward_step up to float rounding.
+    """
+
+    def __init__(self, ckpt, cond):
+        cfg = ckpt.config
+        _check_arrays("tensors", ckpt.tensors, param_shapes(cfg))
+        w = ckpt.tensors
+        h = cfg.hidden
+        pre, post = condition_windows(cond, cfg.w_past, cfg.w_future)
+        pre_out = linear_rows(pre, w["pre_ff.W"], w["pre_ff.b"])
+        post_out = linear_rows(post, w["post_ff.W"], w["post_ff.b"])
+        self.t = 0
+        self.scale, self.shift = _gate_affine(h)
+        self.streams = []
+        for s, vocab in zip(STREAM_NAMES, cfg.vocab_sizes):
+            layers = [(w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"], w[f"{s}.lstm{li}.bias"])
+                      for li in range(1, cfg.lstm_layers + 1)]
+            wx1, _, bias1 = layers[0]
+            head = w[f"{s}.head.W"]
+            self.streams.append((
+                wx1[:, :vocab].T,
+                linear_rows(pre_out, wx1[:, vocab:], bias1),
+                layers,
+                head[:, :h],
+                linear_rows(post_out, head[:, h:], w[f"{s}.head.b"]),
+                np.zeros((len(layers), 1, h)),
+                np.zeros((len(layers), 1, h)),
+            ))
+
+    def step(self, words):
+        """Feed the previous step's three words (silence words at step 0);
+        returns each stream's next-word probabilities [vocab]."""
+        t = self.t
+        self.t += 1
+        probs = []
+        for si, (word_cols, cond_gates, layers, head_top, head_post, hs, cs) \
+                in enumerate(self.streams):
+            z = cond_gates[t:t + 1] + word_cols[words[si]]
+            for li, (wx, wh, bias) in enumerate(layers):
+                if li:
+                    z = linear_rows(hs[li - 1], wx, bias)
+                z += hs[li] @ wh.T
+                lstm_cell_lanes(z, cs[li], self.scale, self.shift, cs[li], hs[li])
+            logits = linear_rows(hs[-1], head_top, head_post[t])
+            probs.append(softmax_rows_inplace(logits)[0])
+        return probs
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +478,17 @@ def _check_arrays(what, arrays, expected):
                                   f"{np.shape(arrays[name])}, its config needs {shape}")
 
 
+@functools.lru_cache(maxsize=None)
+def param_shapes(config):
+    """Read-only {name: shape} of every parameter of a ModelParams(config),
+    taken from one built without draws and kept per config."""
+    return types.MappingProxyType(
+        {p.name: p.data.shape for p in ModelParams(config).parameters()})
+
+
 def params_from_checkpoint(ckpt):
-    params = ModelParams(ckpt.config, np.random.default_rng(0))
-    shapes = {p.name: p.data.shape for p in params.parameters()}
-    _check_arrays("tensors", ckpt.tensors, shapes)
+    _check_arrays("tensors", ckpt.tensors, param_shapes(ckpt.config))
+    params = ModelParams(ckpt.config)
     for p in params.parameters():
         p.data[...] = ckpt.tensors[p.name]
     return params
@@ -422,7 +496,7 @@ def params_from_checkpoint(ckpt):
 
 def _restore_training(ckpt):
     params = params_from_checkpoint(ckpt)
-    shapes = {p.name: p.data.shape for p in params.parameters()}
+    shapes = param_shapes(params.config)
     for k, what in enumerate(("first moments", "second moments")):
         _check_arrays(what, {n: mv[k] for n, mv in ckpt.moments.items()}, shapes)
     opt = Optimizer(params)
@@ -456,10 +530,7 @@ def _check_piece(seq, config, index):
         if words.shape != (steps, 3) or words.min() < 0 or np.any(words.max(axis=0) >= vocab):
             raise ValueError(f"piece {index}: {name} must be [{steps} x 3] word "
                              f"indices inside the vocabularies {config.vocab_sizes}")
-    sums = np.concatenate([np.zeros((1, seq.cond.shape[1])), np.cumsum(seq.cond, axis=0)])
-    t = np.arange(steps)
-    pre = sums[t] - sums[np.maximum(t - config.w_past, 0)]
-    post = sums[np.minimum(t + config.w_future + 1, steps)] - sums[t]
+    pre, post = condition_windows(seq.cond, config.w_past, config.w_future)
     # one-hot sums are exact integers, so exact comparison is safe
     if not (np.array_equal(seq.pre, pre) and np.array_equal(seq.post, post)):
         raise ValueError(f"piece {index}: pre/post windows do not match "

@@ -5,8 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import (quantize_song, condition_matrix, window_pre,
-                       window_post, step_words)
+from .encoding import quantize_song, condition_matrix, step_words
+from .model import InferenceRun
+# The per-step tape path, kept importable here: perfbench/spans.py wraps
+# these names in this module when it traces a run.
+from .encoding import window_pre, window_post
 from .model import forward_step, params_from_checkpoint
 
 ARGMAX_TEMPERATURE = 0.01
@@ -19,8 +22,7 @@ class GenerationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
         if self.seed_steps < 1:
             raise ValueError("seed_steps must be >= 1")
 
@@ -44,13 +46,17 @@ def condition_track_from_song(song):
     return ConditionTrack(condition_matrix(grid), grid.steps_per_bar.copy(), words)
 
 
+def _check_temperature(temperature):
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+
+
 def temperature_adjust(p, temperature):
     """Reweight a probability row: p_i^(1/T), renormalized.
 
     Temperatures at or below 0.01 collapse to argmax (first index on ties).
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     p = np.asarray(p, dtype=np.float64)
     if temperature <= ARGMAX_TEMPERATURE:
         out = np.zeros_like(p)
@@ -67,39 +73,51 @@ def sample_categorical(p, rng):
     return int(np.searchsorted(cdf, u, side="right"))
 
 
+def _check_request(config, conditions, gen_config, seed_words):
+    """Raise ValueError unless the condition track is finite
+    [T x condition_dim] and the seed words cover seed_steps <= T steps with
+    word indices inside the vocabularies. Returns (cond, the seed_steps
+    seed word rows)."""
+    cond = np.asarray(conditions.cond)
+    seed_steps = gen_config.seed_steps
+    if cond.ndim != 2 or cond.shape[1] != config.condition_dim:
+        raise ValueError(f"condition track must be [T x {config.condition_dim}], "
+                         f"got shape {cond.shape}")
+    if not np.all(np.isfinite(cond)):
+        raise ValueError("condition track has non-finite values")
+    if seed_steps > len(cond):
+        raise ValueError(f"seed covers {seed_steps} steps but track has {len(cond)}")
+    seed = np.asarray(conditions.seed_words if seed_words is None else seed_words)
+    if seed.ndim != 2 or seed.shape[1] != 3 or len(seed) < seed_steps or \
+            not np.issubdtype(seed.dtype, np.integer):
+        raise ValueError(f"need [>= {seed_steps} x 3] integer seed words, "
+                         f"got shape {seed.shape} of {seed.dtype}")
+    seed = seed[:seed_steps]
+    if seed.min() < 0 or np.any(seed.max(axis=0) >= config.vocab_sizes):
+        raise ValueError(f"seed words must lie inside the vocabularies "
+                         f"{config.vocab_sizes}")
+    return cond, seed
+
+
 def generate(checkpoint, conditions, gen_config, seed_words=None):
     """Sample a full drum-word sequence [T x 3] over the condition track.
 
     The first seed_steps are copied from seed_words (defaults to the
     condition track's own drums) while warming the recurrent state; every
     later step feeds the sampled words back as the next input. Dropout is
-    off throughout.
+    off throughout. Runs without the tape (model.InferenceRun).
     """
-    params = params_from_checkpoint(checkpoint)
-    cfg = params.config
-    total = len(conditions)
-    seed_steps = gen_config.seed_steps
-    if seed_steps > total:
-        raise ValueError(f"seed covers {seed_steps} steps but track has {total}")
-    if seed_words is None:
-        seed_words = conditions.seed_words
-    if len(seed_words) < seed_steps:
-        raise ValueError(f"need {seed_steps} seed steps, got {len(seed_words)}")
-
+    cond, seed = _check_request(checkpoint.config, conditions, gen_config, seed_words)
+    run = InferenceRun(checkpoint, cond)
     rng = np.random.default_rng(gen_config.rng_seed)
-    cond = conditions.cond
-    words = np.zeros((total, 3), dtype=np.intp)
-    words[:seed_steps] = np.asarray(seed_words[:seed_steps], dtype=np.intp)
-
-    state = params.zero_state()
+    words = np.zeros((len(cond), 3), dtype=np.intp)
+    words[:len(seed)] = seed
     prev = np.zeros(3, dtype=np.intp)  # silence words before step 0
-    for t in range(total):
-        pre = window_pre(cond, t, cfg.w_past)
-        post = window_post(cond, t, cfg.w_future)
-        probs = forward_step(params, prev, pre, post, state, training=False)
-        if t >= seed_steps:
+    for t in range(len(cond)):
+        probs = run.step(prev)
+        if t >= gen_config.seed_steps:
             for si in range(3):
-                row = temperature_adjust(probs[si].data, gen_config.temperature)
+                row = temperature_adjust(probs[si], gen_config.temperature)
                 words[t, si] = sample_categorical(row, rng)
         prev = words[t]
     return words

@@ -169,6 +169,13 @@ def test_finite_diff_constant_function():
     assert err == 0.0
 
 
+def test_finite_diff_leaves_gradients_zero():
+    w = Parameter(np.array([[0.5, -1.0], [2.0, 0.25]]))
+    x = Tensor(np.array([1.0, -2.0]))
+    finite_diff_check(lambda: ad.sum_all(ad.tanh(ad.matmul(w, x))), [w])
+    npt.assert_array_equal(w.grad, np.zeros((2, 2)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_composite_graph_matches_finite_differences(seed):

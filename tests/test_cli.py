@@ -50,6 +50,17 @@ def test_generate_missing_checkpoint_is_runtime_error(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_generate_non_finite_temperature_rejected(tmp_path, capsys, temperature):
+    # rejected before the checkpoint is read
+    code = run_cli(["generate", "--checkpoint", str(tmp_path / "missing.json"),
+                    "--conditions", str(tmp_path / "song.json"),
+                    "--temperature", temperature, "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "temperature must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_config_file_with_unknown_keys_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"songs": 2, "warp_factor": 9}))

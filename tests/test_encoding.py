@@ -4,11 +4,14 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from drumgen import encoding as enc
-from drumgen.encoding import (Bar, Song, encode_condition, encode_sequence,
-                              decode_words, drum_word_index, load_song,
-                              quantize_song, save_song, snap_step,
+from drumgen.encoding import (Bar, Song, condition_windows, encode_condition,
+                              encode_sequence, decode_words, drum_word_index,
+                              load_song, quantize_song, save_song, snap_step,
                               window_post, window_pre, word_components)
 
 
@@ -170,6 +173,30 @@ def test_window_post_padding():
     for block in enc.CONDITION_BLOCKS:
         assert window_post(cond, 15, 4)[block].sum() == 1
         assert window_post(cond, 5, 4)[block].sum() == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 4)),
+                  elements=st.integers(0, 3)),
+       st.integers(0, 16), st.integers(0, 16))
+def test_condition_windows_equal_per_step_sums(cond, w_p, w_f):
+    # integer-valued rows, as the one-hot condition vectors: exact equality
+    pre, post = condition_windows(cond, w_p, w_f)
+    assert pre.shape == post.shape == cond.shape
+    for t in range(len(cond)):
+        npt.assert_array_equal(pre[t], window_pre(cond, t, w_p))
+        npt.assert_array_equal(post[t], window_post(cond, t, w_f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                  elements=st.floats(-1.0, 1.0)),
+       st.integers(0, 16), st.integers(0, 16))
+def test_condition_windows_close_to_per_step_sums_for_real_rows(cond, w_p, w_f):
+    pre, post = condition_windows(cond, w_p, w_f)
+    for t in range(len(cond)):
+        npt.assert_allclose(pre[t], window_pre(cond, t, w_p), rtol=0, atol=1e-12)
+        npt.assert_allclose(post[t], window_post(cond, t, w_f), rtol=0, atol=1e-12)
 
 
 def test_future_tempo_change_visible_only_in_post_window():

@@ -383,6 +383,13 @@ def test_train_rejects_non_finite_window(tiny_corpus):
         train([tiny_corpus[0], bad], tiny_config(), epochs=1)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_param_shapes_match_model_params(layers):
+    cfg = tiny_config(lstm_layers=layers)
+    params = init_params(cfg, np.random.default_rng(0))
+    assert dm.param_shapes(cfg) == {p.name: p.data.shape for p in params.parameters()}
+
+
 def test_checkpoint_tensor_of_wrong_shape_rejected(tiny_corpus):
     ckpt = train(tiny_corpus, tiny_config(), epochs=0, snapshot_epochs=(), seed=18)[-1]
     ckpt.tensors["K.lstm1.bias"] = np.zeros(1)

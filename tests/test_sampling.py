@@ -1,13 +1,16 @@
+import dataclasses
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from drumgen.encoding import VOCAB_SIZES, quantize_song
-from drumgen.model import ModelConfig, train
+from drumgen.encoding import (VOCAB_SIZES, encode_sequence, quantize_song,
+                              window_post, window_pre)
+from drumgen.model import (CheckpointError, InferenceRun, ModelConfig,
+                           forward_step, params_from_checkpoint, train)
 from drumgen.sampling import (GenerationConfig, condition_track_from_song,
-                              generate, sample_categorical,
-                              temperature_adjust)
-from drumgen.encoding import encode_sequence
+                              generate, sample_categorical, temperature_adjust)
 from drumgen.synth import STYLES, SynthConfig, synth_song, synth_songs
 
 
@@ -55,6 +58,14 @@ def test_temperature_rejects_nonpositive():
         temperature_adjust(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         GenerationConfig(temperature=-1.0)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
+def test_temperature_rejects_non_finite(temperature):
+    with pytest.raises(ValueError, match="finite"):
+        GenerationConfig(temperature=temperature)
+    with pytest.raises(ValueError, match="finite"):
+        temperature_adjust(np.array([0.2, 0.5, 0.3]), temperature)
 
 
 def test_sample_one_hot_always_that_index():
@@ -157,3 +168,126 @@ def test_entropy_rises_with_temperature(tiny_checkpoint):
         return float(-(freq * np.log(freq)).sum())
 
     assert word_entropy(1.2) >= word_entropy(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Fail-fast checks at generate's boundary
+
+def _with_word(words, column, value):
+    words = words.copy()
+    words[0, column] = value
+    return words
+
+
+@pytest.mark.parametrize("case, match", [
+    ("cond_width", r"condition track must be \[T x 31\]"),
+    ("cond_vector", r"condition track must be \[T x 31\]"),
+    ("cond_nan", "condition track has non-finite values"),
+    ("cond_inf", "condition track has non-finite values"),
+    ("seed_short", r"need \[>= 4 x 3\] integer seed words"),
+    ("seed_width", r"need \[>= 4 x 3\] integer seed words"),
+    ("seed_float", r"need \[>= 4 x 3\] integer seed words"),
+    ("seed_negative", "seed words must lie inside the vocabularies"),
+    ("seed_too_large", "seed words must lie inside the vocabularies"),
+])
+def test_generate_rejects_bad_request(tiny_checkpoint, case, match):
+    track = condition_track_from_song(eval_song())
+    cond, seed = track.cond, track.seed_words
+    nan_row = cond.copy()
+    nan_row[9, 0] = np.nan
+    inf_row = cond.copy()
+    inf_row[0, 3] = np.inf
+    cond, seed = {
+        "cond_width": (cond[:, :30], seed),
+        "cond_vector": (cond[:, 0], seed),
+        "cond_nan": (nan_row, seed),
+        "cond_inf": (inf_row, seed),
+        "seed_short": (cond, seed[:3]),
+        "seed_width": (cond, seed[:, :2]),
+        "seed_float": (cond, seed.astype(float)),
+        "seed_negative": (cond, _with_word(seed, 1, -1)),
+        "seed_too_large": (cond, _with_word(seed, 2, VOCAB_SIZES[2])),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        generate(tiny_checkpoint, dataclasses.replace(track, cond=cond),
+                 GenerationConfig(seed_steps=4), seed)
+
+
+def test_seed_words_past_seed_steps_are_not_checked(tiny_checkpoint):
+    track = condition_track_from_song(eval_song())
+    seed = track.seed_words.copy()
+    seed[4:] = -1  # never read: only the first seed_steps rows are used
+    words = generate(tiny_checkpoint, track, GenerationConfig(seed_steps=4), seed)
+    npt.assert_array_equal(words[:4], seed[:4])
+
+
+def test_generate_rejects_checkpoint_of_wrong_shape(tiny_checkpoint):
+    ckpt = dataclasses.replace(tiny_checkpoint, tensors=dict(tiny_checkpoint.tensors))
+    ckpt.tensors["T.head.W"] = ckpt.tensors["T.head.W"][:, :-1]
+    track = condition_track_from_song(eval_song())
+    with pytest.raises(CheckpointError, match="T.head.W"):
+        generate(ckpt, track, GenerationConfig(seed_steps=4))
+
+
+# ---------------------------------------------------------------------------
+# The tape-free path against the tape path (forward_step)
+
+def tape_generate(checkpoint, conditions, gen_config):
+    """Reference for generate: each step through forward_step and the
+    autodiff ops, with the windows summed step by step."""
+    params = params_from_checkpoint(checkpoint)
+    cfg = params.config
+    cond = conditions.cond
+    rng = np.random.default_rng(gen_config.rng_seed)
+    words = np.zeros((len(cond), 3), dtype=np.intp)
+    words[:gen_config.seed_steps] = conditions.seed_words[:gen_config.seed_steps]
+    state = params.zero_state()
+    prev = np.zeros(3, dtype=np.intp)  # silence words before step 0
+    for t in range(len(cond)):
+        pre = window_pre(cond, t, cfg.w_past)
+        post = window_post(cond, t, cfg.w_future)
+        probs = forward_step(params, prev, pre, post, state, training=False)
+        if t >= gen_config.seed_steps:
+            for si in range(3):
+                row = temperature_adjust(probs[si].data, gen_config.temperature)
+                words[t, si] = sample_categorical(row, rng)
+        prev = words[t]
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def trained_checkpoint(layers):
+    cfg = SynthConfig(n_songs=2, bars_per_song=4, meters=((4, 4), (7, 8)), seed=4)
+    corpus = [encode_sequence(quantize_song(s))
+              for s in synth_songs(STYLES["synthrock"], cfg)]
+    mc = ModelConfig(hidden=8, lstm_layers=layers, seq_len=16, batch_size=2)
+    return train(corpus, mc, epochs=4, snapshot_epochs=(), seed=1)[-1]
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_inference_run_matches_forward_step(layers):
+    ckpt = trained_checkpoint(layers)
+    params = params_from_checkpoint(ckpt)
+    cfg = params.config
+    track = condition_track_from_song(eval_song(seed=21, meters=((7, 8),)))
+    run = InferenceRun(ckpt, track.cond)
+    state = params.zero_state()
+    prev = np.zeros(3, dtype=np.intp)
+    worst = 0.0
+    for t in range(len(track)):
+        tape = forward_step(params, prev, window_pre(track.cond, t, cfg.w_past),
+                            window_post(track.cond, t, cfg.w_future), state)
+        fast = run.step(prev)
+        for si in range(3):
+            worst = max(worst, np.max(np.abs(fast[si] - tape[si].data)))
+        prev = track.seed_words[t]
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("temperature", [0.01, 0.5, 1.0, 1.2])
+def test_generate_words_equal_tape_loop(temperature):
+    ckpt = trained_checkpoint(2)
+    track = condition_track_from_song(eval_song(seed=31, meters=((4, 4), (7, 8))))
+    for rng_seed in range(4):
+        gc = GenerationConfig(temperature=temperature, seed_steps=5, rng_seed=rng_seed)
+        npt.assert_array_equal(generate(ckpt, track, gc), tape_generate(ckpt, track, gc))
