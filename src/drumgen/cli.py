@@ -1,5 +1,6 @@
 """Command-line pipeline: synthesize a corpus, train, generate, extract
-rhythm features, embed them in 2-D, and gradient-check the model.
+rhythm features, embed them in 2-D, inspect a checkpoint, and
+gradient-check the model.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Flags override
 values from an optional JSON config file (--config).
@@ -203,6 +204,21 @@ def cmd_embed(args):
     return 0
 
 
+def cmd_inspect(args):
+    ckpt = dm_model.load_checkpoint(args.checkpoint)
+    print("config: " + " ".join(f"{k}={v}" for k, v in
+                                dataclasses.asdict(ckpt.config).items()))
+    print(f"epoch: {ckpt.epoch}")
+    print(f"adam step: {ckpt.adam_t}")
+    losses = ckpt.loss_history
+    print(f"loss: first {losses[0]:.6f}, min {min(losses):.6f}, last {losses[-1]:.6f}"
+          if losses else "loss: none recorded")
+    for name, a in sorted(ckpt.tensors.items()):
+        print(f"norm {name}: {np.linalg.norm(a):.6g}")
+    print("checksum OK")
+    return 0
+
+
 def cmd_gradcheck(args):
     from .synth import STYLES, SynthConfig, synth_song
     seed = args.seed if args.seed is not None else 0
@@ -309,6 +325,10 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
+
+    p = sub.add_parser("inspect", help="summarize a checkpoint and verify its checksum")
+    p.add_argument("checkpoint")
+    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
     p.add_argument("--seed", type=int, default=None)

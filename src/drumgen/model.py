@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 import types
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows
 from .ioutil import atomic_write_text
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -598,6 +598,11 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
 # ---------------------------------------------------------------------------
 # Checkpoint files: JSON container, base64 float64 blobs, sha256 checksum
 
+_DOC_KEYS = frozenset({"version", "checksum", "config", "epoch", "adam_t",
+                       "rng_state", "tensors", "moments", "loss_history"})
+_CONFIG_KEYS = frozenset(f.name for f in fields(ModelConfig))
+
+
 def _encode_array(a):
     a = np.ascontiguousarray(a, dtype=np.float64)
     return {"shape": list(a.shape),
@@ -609,9 +614,26 @@ def _decode_array(d):
     return a.reshape(d["shape"]).copy()
 
 
+def _without_data(entry):
+    return {k: v for k, v in entry.items() if k != "data"}
+
+
 def _payload_checksum(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """sha256 of a checkpoint document without its checksum field: the
+    canonical JSON of everything but the array data (each array's name
+    and shape included), then each array's base64 text as stored, the
+    tensors in name order, then each moment's m and v in name order."""
+    header = dict(payload,
+                  tensors={k: _without_data(e) for k, e in payload["tensors"].items()},
+                  moments={k: [_without_data(e) for e in mv]
+                           for k, mv in payload["moments"].items()})
+    h = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+    for k in sorted(payload["tensors"]):
+        h.update(payload["tensors"][k]["data"].encode())
+    for k in sorted(payload["moments"]):
+        for e in payload["moments"][k]:
+            h.update(e["data"].encode())
+    return h.hexdigest()
 
 
 def save_checkpoint(ckpt, path):
@@ -621,38 +643,57 @@ def save_checkpoint(ckpt, path):
         "epoch": ckpt.epoch,
         "adam_t": ckpt.adam_t,
         "rng_state": ckpt.rng_state,
-        "tensors": {k: _encode_array(v) for k, v in sorted(ckpt.tensors.items())},
+        "tensors": {k: _encode_array(v) for k, v in ckpt.tensors.items()},
         "moments": {k: [_encode_array(m), _encode_array(v)]
-                    for k, (m, v) in sorted(ckpt.moments.items())},
+                    for k, (m, v) in ckpt.moments.items()},
         "loss_history": ckpt.loss_history,
     }
-    payload["config"]["vocab_sizes"] = list(payload["config"]["vocab_sizes"])
-    doc = {"checksum": _payload_checksum(payload), **payload}
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    payload["checksum"] = _payload_checksum(payload)
+    atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def load_checkpoint(path):
+    """Read a checkpoint file. The checksum is verified before any array
+    is decoded. Raises CheckpointError, naming the path, for a file that
+    is not a JSON object of this version's keys, whose checksum does not
+    match, or whose config or arrays do not decode."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as e:  # also not UTF-8, or nested too deep
         raise CheckpointError(f"corrupted checkpoint {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"corrupted checkpoint {path}: not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {doc.get('version')!r} unsupported "
+            f"checkpoint {path} has version {doc.get('version')!r}, unsupported "
             f"(expected {CHECKPOINT_VERSION})")
-    stored = doc.pop("checksum", None)
-    if stored != _payload_checksum(doc):
+    if set(doc) != _DOC_KEYS:
+        raise CheckpointError(
+            f"malformed checkpoint {path}: missing keys {sorted(_DOC_KEYS - set(doc))}, "
+            f"unexpected {sorted(set(doc) - _DOC_KEYS)}")
+    stored = doc.pop("checksum")
+    try:
+        checksum = _payload_checksum(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint {path}: bad array entry: {e!r}") from e
+    if stored != checksum:
         raise CheckpointError(f"checksum mismatch in {path}")
-    cfg_dict = dict(doc["config"])
-    cfg_dict["vocab_sizes"] = tuple(cfg_dict["vocab_sizes"])
-    return Checkpoint(
-        config=ModelConfig(**cfg_dict),
-        epoch=doc["epoch"],
-        tensors={k: _decode_array(v) for k, v in doc["tensors"].items()},
-        moments={k: (_decode_array(m), _decode_array(v))
-                 for k, (m, v) in doc["moments"].items()},
-        adam_t=doc["adam_t"],
-        rng_state=doc["rng_state"],
-        loss_history=list(doc["loss_history"]),
-    )
+    config = doc["config"]
+    if not isinstance(config, dict) or set(config) != _CONFIG_KEYS:
+        raise CheckpointError(f"malformed checkpoint {path}: config keys do not match "
+                              f"ModelConfig's {sorted(_CONFIG_KEYS)}")
+    try:
+        return Checkpoint(
+            config=ModelConfig(**config),
+            epoch=doc["epoch"],
+            tensors={k: _decode_array(e) for k, e in doc["tensors"].items()},
+            moments={k: (_decode_array(m), _decode_array(v))
+                     for k, (m, v) in doc["moments"].items()},
+            adam_t=doc["adam_t"],
+            rng_state=doc["rng_state"],
+            loss_history=list(doc["loss_history"]),
+        )
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e

@@ -7,6 +7,7 @@ import pytest
 from drumgen.cli import main
 from drumgen.encoding import load_song, quantize_song
 from drumgen.features import read_features_csv
+from drumgen.model import load_checkpoint
 
 
 def run_cli(argv):
@@ -142,3 +143,29 @@ def test_pipeline_reproducible_checksums(tmp_path):
     a = run_once(tmp_path / "a")
     b = run_once(tmp_path / "b")
     assert a == b
+
+
+def test_inspect_prints_summary_and_writes_nothing(pipeline, capsys):
+    before = tree_checksums(pipeline)
+    ckpt = os.path.join(pipeline, "run", "checkpoint_epoch_0002.json")
+    assert run_cli(["inspect", ckpt]) == 0
+    assert tree_checksums(pipeline) == before
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("config: hidden=6 lstm_layers=2 ")
+    assert lines[1:3] == ["epoch: 2", "adam step: 2"]
+    assert lines[3].startswith("loss: first ") and ", min " in lines[3]
+    norms = [line.split()[1] for line in lines if line.startswith("norm ")]
+    assert norms == [name + ":" for name in sorted(load_checkpoint(ckpt).tensors)]
+    assert lines[-1] == "checksum OK"
+
+
+def test_inspect_bad_checkpoint_is_runtime_error(pipeline, tmp_path, capsys):
+    text = (pipeline / "run" / "checkpoint_epoch_0002.json").read_text()
+    i = text.index('"tensors"') + 200
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[:i] + ("A" if text[i] != "A" else "B") + text[i + 1:])
+    assert run_cli(["inspect", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "checksum OK" not in captured.out
+    assert "checksum mismatch" in captured.err and "bad.json" in captured.err
+    assert os.listdir(tmp_path) == ["bad.json"]
