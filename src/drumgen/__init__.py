@@ -4,10 +4,11 @@ float64 autodiff core, with rhythm-feature evaluation and exact t-SNE."""
 from .autodiff import Tensor, Parameter, Tape, backward, finite_diff_check
 from .encoding import (Bar, Song, StepGrid, EncodedSequence, quantize_song,
                        encode_sequence, encode_condition, drum_word_index,
-                       word_components, decode_words, load_song, save_song)
+                       word_components, grid_words, decode_words, load_song,
+                       save_song)
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
-    dropout_apply, concat_merge
-from .model import (ModelConfig, ModelParams, Checkpoint, init_params,
+    dropout_apply
+from .model import (ModelConfig, ModelParams, Checkpoint,
                     forward_step, sequence_loss, adam_step, train,
                     save_checkpoint, load_checkpoint)
 from .sampling import (GenerationConfig, ConditionTrack, temperature_adjust,

@@ -29,7 +29,7 @@ from .ioutil import atomic_write_text
 CONFIG_KEYS = {
     "style", "songs", "bars", "meters", "seed", "epochs", "snapshots",
     "hidden", "dropout", "wpast", "wfuture", "temperature", "seed_steps",
-    "perplexity", "out", "label", "tempo_min", "tempo_max", "phrase_len",
+    "perplexity", "label", "tempo_min", "tempo_max", "phrase_len",
     "learning_rate", "seq_len", "batch_size", "iterations",
 }
 
@@ -42,10 +42,16 @@ def _load_config_file(path):
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as e:
+            raise UsageError(f"--config {path}: not JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise UsageError(f"--config {path}: expected a JSON object of settings, "
+                         f"got {type(cfg).__name__}")
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"--config {path}: unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -59,8 +65,12 @@ def _opt(args, cfg, key, default):
 def _parse_meters(text):
     meters = []
     for part in text.split(","):
-        num, den = part.strip().split("/")
-        meters.append((int(num), int(den)))
+        try:
+            num, den = (int(x) for x in part.split("/"))
+        except ValueError:
+            raise UsageError(f"--meters: expected a comma list like 4/4,7/8, "
+                             f"got {text!r}") from None
+        meters.append((num, den))
     return tuple(meters)
 
 
@@ -224,7 +234,7 @@ def cmd_gradcheck(args):
     seed = args.seed if args.seed is not None else 0
     mc = dm_model.ModelConfig(hidden=4, dropout=0.0, seq_len=3)
     rng = np.random.default_rng(seed)
-    params = dm_model.init_params(mc, rng)
+    params = dm_model.ModelParams(mc, rng)
     song = synth_song(STYLES["synthrock"],
                       SynthConfig(n_songs=1, bars_per_song=2, seed=seed),
                       np.random.default_rng(seed))

@@ -194,12 +194,13 @@ def word_components(stream, index):
     return tuple(c for i, c in enumerate(comps) if index >> i & 1)
 
 
-def step_words(onset_row):
-    """Three stream word indices for one step's component-onset row."""
-    words = []
-    for s in STREAM_NAMES:
-        active = [c for c in STREAMS[s] if onset_row[COMPONENTS.index(c)]]
-        words.append(drum_word_index(s, active))
+def grid_words(grid):
+    """The three stream word indices at every step of a grid, [T x 3]:
+    drum_word_index of the components with an onset at that step."""
+    words = np.zeros((grid.total_steps, len(STREAM_NAMES)), dtype=np.intp)
+    for si, s in enumerate(STREAM_NAMES):
+        for bit, comp in enumerate(STREAMS[s]):
+            words[grid.drum_onsets[:, COMPONENTS.index(comp)], si] |= 1 << bit
     return words
 
 
@@ -263,23 +264,20 @@ class EncodedSequence:
     cond: np.ndarray        # [T x 31]
     pre: np.ndarray         # [T x 31]
     post: np.ndarray        # [T x 31]
-    steps_per_bar: np.ndarray
 
     def __len__(self):
         return len(self.targets)
 
 
 def encode_sequence(grid, w_p=4, w_f=4):
-    total = grid.total_steps
-    if total == 0:
+    if grid.total_steps == 0:
         raise ValueError("empty grid")
-    targets = np.array([step_words(grid.drum_onsets[t]) for t in range(total)],
-                       dtype=np.intp)
+    targets = grid_words(grid)
     inputs = np.zeros_like(targets)
     inputs[1:] = targets[:-1]
     cond = condition_matrix(grid)
     pre, post = condition_windows(cond, w_p, w_f)
-    return EncodedSequence(inputs, targets, cond, pre, post, grid.steps_per_bar.copy())
+    return EncodedSequence(inputs, targets, cond, pre, post)
 
 
 def decode_words(words):

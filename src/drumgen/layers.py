@@ -1,6 +1,6 @@
-"""Network building blocks: linear layers, LSTM cells, stacked LSTM,
-inverted dropout and concatenation merge, plus the lane ops (plain
-numpy, no tape) that training and generation run on."""
+"""Network building blocks: linear layers, LSTM cells, stacked LSTM and
+inverted dropout, plus the lane ops (plain numpy, no tape) that training
+and generation run on."""
 
 import numpy as np
 
@@ -14,10 +14,11 @@ def glorot_uniform(rng, fan_in, fan_out, shape):
 
 
 class LinearLayer:
-    """W x + b with identity activation."""
+    """W x + b with identity activation. W is Glorot-uniform from rng, or
+    zero without one; b starts at zero."""
 
-    def __init__(self, out_dim, in_dim, rng=None, zero_init=False, name="linear"):
-        if zero_init or rng is None:
+    def __init__(self, out_dim, in_dim, rng=None, name="linear"):
+        if rng is None:
             w = np.zeros((out_dim, in_dim))
         else:
             w = glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim))
@@ -100,11 +101,6 @@ def stacked_lstm_step(layers, x, state, dropout_rate, training, rng):
         state[idx][1] = c_new
         inp = h_new
     return inp
-
-
-def concat_merge(parts):
-    """Concatenate vectors in the given order."""
-    return ad.concat(parts)
 
 
 # ---------------------------------------------------------------------------

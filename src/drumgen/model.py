@@ -18,44 +18,46 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, backward
+# lstm_step is unused here but importable: perfbench/spans.py wraps it
+# under this module's name when it traces a run.
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
-    dropout_apply, concat_merge, linear_rows, linear_rows_backward, \
+    dropout_apply, linear_rows, linear_rows_backward, \
     lstm_lanes_forward, lstm_lanes_backward, head_ce_lanes, lstm_cell_lanes, \
     softmax_rows_inplace, _gate_affine
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows
 from .ioutil import atomic_write_text
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRAD_CLIP_NORM = 5.0
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The settable sizes and training values. The vocabulary and
+    condition widths are fixed by the encoding (VOCAB_SIZES, COND_DIM)."""
     hidden: int = 256
     lstm_layers: int = 2
     dropout: float = 0.2
     w_past: int = 4
     w_future: int = 4
-    vocab_sizes: tuple = VOCAB_SIZES
-    condition_dim: int = COND_DIM
     learning_rate: float = 1e-3
     seq_len: int = 64
     batch_size: int = 16
-    grad_clip_norm: float = 5.0
 
     def __post_init__(self):
-        object.__setattr__(self, "vocab_sizes", tuple(self.vocab_sizes))
         if min(self.hidden, self.lstm_layers, self.seq_len, self.batch_size) < 1:
             raise ValueError("hidden, lstm_layers, seq_len, batch_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
         if self.w_past < 0 or self.w_future < 0:
             raise ValueError("window lengths must be non-negative")
-        if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
-            raise ValueError("learning rate and clip norm must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
 
 
 class ModelParams:
@@ -68,18 +70,18 @@ class ModelParams:
     def __init__(self, config, rng=None):
         h = config.hidden
         self.config = config
-        self.pre_ff = LinearLayer(h, config.condition_dim, rng, name="pre_ff")
-        self.post_ff = LinearLayer(h, config.condition_dim, rng, name="post_ff")
+        self.pre_ff = LinearLayer(h, COND_DIM, rng, name="pre_ff")
+        self.post_ff = LinearLayer(h, COND_DIM, rng, name="post_ff")
         self.lstm_stacks = {}
         self.heads = {}
-        for s, vocab in zip(STREAM_NAMES, config.vocab_sizes):
+        for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
             in_dim = vocab + h
             stack = []
             for li in range(config.lstm_layers):
                 stack.append(LSTMLayer(h, in_dim, rng, name=f"{s}.lstm{li + 1}"))
                 in_dim = h
             self.lstm_stacks[s] = stack
-            self.heads[s] = LinearLayer(vocab, 2 * h, zero_init=True, name=f"{s}.head")
+            self.heads[s] = LinearLayer(vocab, 2 * h, name=f"{s}.head")
 
     def parameters(self):
         out = self.pre_ff.parameters() + self.post_ff.parameters()
@@ -89,16 +91,9 @@ class ModelParams:
             out += self.heads[s].parameters()
         return out
 
-    def named_parameters(self):
-        return {p.name: p for p in self.parameters()}
-
     def zero_state(self):
         return {s: [layer.zero_state() for layer in self.lstm_stacks[s]]
                 for s in STREAM_NAMES}
-
-
-def init_params(config, rng):
-    return ModelParams(config, rng)
 
 
 def detach_state(state):
@@ -128,12 +123,12 @@ def forward_step(params, input_words, pre_vec, post_vec, state,
                              rate, training, rng)
     probs = []
     for si, s in enumerate(STREAM_NAMES):
-        word = one_hot(cfg.vocab_sizes[si], int(input_words[si]))
-        x = concat_merge([Tensor(word), pre_out])
+        word = one_hot(VOCAB_SIZES[si], int(input_words[si]))
+        x = ad.concat([Tensor(word), pre_out])
         h_top = stacked_lstm_step(params.lstm_stacks[s], x, state[s],
                                   rate, training, rng)
         h_top = dropout_apply(h_top, rate, training, rng)
-        logits = params.heads[s].forward(concat_merge([h_top, post_out]))
+        logits = params.heads[s].forward(ad.concat([h_top, post_out]))
         probs.append(ad.softmax_rows(logits))
     return probs
 
@@ -175,7 +170,7 @@ def _dropout_widths(config):
     between layers and the top output."""
     h = config.hidden
     widths = [h, h]
-    for vocab in config.vocab_sizes:
+    for vocab in VOCAB_SIZES:
         widths += [vocab + h] + [h] * config.lstm_layers
     return widths
 
@@ -224,8 +219,7 @@ def _wave(params, slices, states, keeps):
     d_post = np.zeros_like(post_out)
     ce = np.zeros(rows)
     ends = [{} for _ in range(lanes)]
-    for si, s in enumerate(STREAM_NAMES):
-        vocab = cfg.vocab_sizes[si]
+    for si, (s, vocab) in enumerate(zip(STREAM_NAMES, VOCAB_SIZES)):
         x = np.zeros((rows, vocab + h))
         x[np.arange(rows), words[:, si]] = 1.0
         x[:, vocab:] = pre_out
@@ -346,7 +340,7 @@ class InferenceRun:
         self.t = 0
         self.scale, self.shift = _gate_affine(h)
         self.streams = []
-        for s, vocab in zip(STREAM_NAMES, cfg.vocab_sizes):
+        for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
             layers = [(w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"], w[f"{s}.lstm{li}.bias"])
                       for li in range(1, cfg.lstm_layers + 1)]
             wx1, _, bias1 = layers[0]
@@ -393,20 +387,19 @@ def clip_global_norm(grads, max_norm):
     return total
 
 
-def adam_step(parameters, moments, lr, t,
-              beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+def adam_step(parameters, moments, lr, t):
     """Bias-corrected Adam update consuming each parameter's .grad."""
     if t < 1:
         raise ValueError("Adam step counter starts at 1")
     for p in parameters:
         m, v = moments[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * p.grad
-        v *= beta2
-        v += (1.0 - beta2) * p.grad * p.grad
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * p.grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * p.grad * p.grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Optimizer:
@@ -425,8 +418,7 @@ class Optimizer:
         if grad_scale != 1.0:
             for p in plist:
                 p.grad *= grad_scale
-        norm = clip_global_norm([p.grad for p in plist],
-                                self.params.config.grad_clip_norm)
+        norm = clip_global_norm([p.grad for p in plist], GRAD_CLIP_NORM)
         self.t += 1
         adam_step(plist, self.moments, self.params.config.learning_rate, self.t)
         for p in plist:
@@ -520,16 +512,15 @@ def _check_piece(seq, config, index):
     steps = len(seq)
     if steps == 0:
         raise ValueError(f"piece {index} is empty")
-    if seq.cond.shape != (steps, config.condition_dim) or \
+    if seq.cond.shape != (steps, COND_DIM) or \
             seq.pre.shape != seq.cond.shape or seq.post.shape != seq.cond.shape:
-        raise ValueError(f"piece {index}: cond/pre/post must be [{steps} x "
-                         f"{config.condition_dim}]")
-    vocab = np.asarray(config.vocab_sizes)
+        raise ValueError(f"piece {index}: cond/pre/post must be [{steps} x {COND_DIM}]")
     for name in ("inputs", "targets"):
         words = getattr(seq, name)
-        if words.shape != (steps, 3) or words.min() < 0 or np.any(words.max(axis=0) >= vocab):
+        if words.shape != (steps, 3) or words.min() < 0 or \
+                np.any(words.max(axis=0) >= VOCAB_SIZES):
             raise ValueError(f"piece {index}: {name} must be [{steps} x 3] word "
-                             f"indices inside the vocabularies {config.vocab_sizes}")
+                             f"indices inside the vocabularies {VOCAB_SIZES}")
     pre, post = condition_windows(seq.cond, config.w_past, config.w_future)
     # one-hot sums are exact integers, so exact comparison is safe
     if not (np.array_equal(seq.pre, pre) and np.array_equal(seq.post, post)):
@@ -552,7 +543,7 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         raise ValueError("empty corpus")
     if resume is None:
         rng = np.random.default_rng(seed)
-        params = init_params(config, rng)
+        params = ModelParams(config, rng)
         opt = Optimizer(params)
         start_epoch = 0
         loss_history = []

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import quantize_song, condition_matrix, step_words
+from .encoding import (quantize_song, condition_matrix, grid_words,
+                       VOCAB_SIZES, COND_DIM)
 from .model import InferenceRun
 # The per-step tape path, kept importable here: perfbench/spans.py wraps
 # these names in this module when it traces a run.
@@ -41,9 +42,8 @@ class ConditionTrack:
 
 def condition_track_from_song(song):
     grid = quantize_song(song)
-    words = np.array([step_words(grid.drum_onsets[t])
-                      for t in range(grid.total_steps)], dtype=np.intp)
-    return ConditionTrack(condition_matrix(grid), grid.steps_per_bar.copy(), words)
+    return ConditionTrack(condition_matrix(grid), grid.steps_per_bar.copy(),
+                          grid_words(grid))
 
 
 def _check_temperature(temperature):
@@ -73,15 +73,15 @@ def sample_categorical(p, rng):
     return int(np.searchsorted(cdf, u, side="right"))
 
 
-def _check_request(config, conditions, gen_config, seed_words):
+def _check_request(conditions, gen_config, seed_words):
     """Raise ValueError unless the condition track is finite
-    [T x condition_dim] and the seed words cover seed_steps <= T steps with
+    [T x COND_DIM] and the seed words cover seed_steps <= T steps with
     word indices inside the vocabularies. Returns (cond, the seed_steps
     seed word rows)."""
     cond = np.asarray(conditions.cond)
     seed_steps = gen_config.seed_steps
-    if cond.ndim != 2 or cond.shape[1] != config.condition_dim:
-        raise ValueError(f"condition track must be [T x {config.condition_dim}], "
+    if cond.ndim != 2 or cond.shape[1] != COND_DIM:
+        raise ValueError(f"condition track must be [T x {COND_DIM}], "
                          f"got shape {cond.shape}")
     if not np.all(np.isfinite(cond)):
         raise ValueError("condition track has non-finite values")
@@ -93,9 +93,8 @@ def _check_request(config, conditions, gen_config, seed_words):
         raise ValueError(f"need [>= {seed_steps} x 3] integer seed words, "
                          f"got shape {seed.shape} of {seed.dtype}")
     seed = seed[:seed_steps]
-    if seed.min() < 0 or np.any(seed.max(axis=0) >= config.vocab_sizes):
-        raise ValueError(f"seed words must lie inside the vocabularies "
-                         f"{config.vocab_sizes}")
+    if seed.min() < 0 or np.any(seed.max(axis=0) >= VOCAB_SIZES):
+        raise ValueError(f"seed words must lie inside the vocabularies {VOCAB_SIZES}")
     return cond, seed
 
 
@@ -107,7 +106,7 @@ def generate(checkpoint, conditions, gen_config, seed_words=None):
     later step feeds the sampled words back as the next input. Dropout is
     off throughout. Runs without the tape (model.InferenceRun).
     """
-    cond, seed = _check_request(checkpoint.config, conditions, gen_config, seed_words)
+    cond, seed = _check_request(conditions, gen_config, seed_words)
     run = InferenceRun(checkpoint, cond)
     rng = np.random.default_rng(gen_config.rng_seed)
     words = np.zeros((len(cond), 3), dtype=np.intp)

@@ -14,6 +14,7 @@ import numpy as np
 PERPLEXITY_TOL = 1e-3
 MAX_CALIBRATION_ITERS = 50
 EARLY_EXAGGERATION = 4.0
+LEARNING_RATE = 100.0
 EXAGGERATION_ITERS = 50
 MOMENTUM_SWITCH_ITER = 250
 _EPS = 1e-12
@@ -73,14 +74,15 @@ def _kl_divergence(P, Q):
     return float((P[mask] * np.log(P[mask] / np.maximum(Q[mask], _EPS))).sum())
 
 
-def tsne_embed(vectors, perplexity=5.0, iterations=500, rng=None,
-               learning_rate=100.0):
+def tsne_embed(vectors, perplexity=5.0, iterations=500, rng=None):
     """Embed feature vectors into 2-D; returns Embedding2D with the final
     KL divergence and its per-iteration history."""
     X = np.asarray(vectors, dtype=np.float64)
     n = len(X)
     if n < 3:
         raise ValueError(f"t-SNE needs at least 3 points, got {n}")
+    if not (np.isfinite(perplexity) and perplexity > 0):
+        raise ValueError(f"perplexity must be positive and finite, got {perplexity}")
     if perplexity >= n:
         raise ValueError(f"perplexity {perplexity} must be below point count {n}")
     if rng is None:
@@ -118,7 +120,7 @@ def tsne_embed(vectors, perplexity=5.0, iterations=500, rng=None,
         # per-coordinate adaptive gains keep lr 100 stable
         gains = np.where((grad > 0) != (velocity > 0), gains + 0.2, gains * 0.8)
         np.clip(gains, 0.01, None, out=gains)
-        velocity = momentum * velocity - learning_rate * gains * grad
+        velocity = momentum * velocity - LEARNING_RATE * gains * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
         kl_history.append(_kl_divergence(P, Q))

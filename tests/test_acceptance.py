@@ -78,7 +78,7 @@ def onset_grid(song):
 
 def test_criterion_1_architecture_wiring(verdict, monkeypatch):
     cfg = ModelConfig()
-    params = dm.init_params(cfg, np.random.default_rng(0))
+    params = dm.ModelParams(cfg, np.random.default_rng(0))
     ok = cfg.hidden == 256 and cfg.lstm_layers == 2 and cfg.dropout == 0.2
     ok &= len(params.lstm_stacks) == 3 and len(params.heads) == 3
     for s, vocab in zip(("K", "H", "T"), (4, 8, 16)):
@@ -110,7 +110,7 @@ def test_criterion_2_initial_loss(verdict):
     cfg = SynthConfig(n_songs=2, bars_per_song=2, meters=((4, 4), (7, 8)),
                       seed=17)
     songs = synth_songs(SYNTHROCK, cfg)
-    params = dm.init_params(ModelConfig(), np.random.default_rng(3))
+    params = dm.ModelParams(ModelConfig(), np.random.default_rng(3))
     worst = 0.0
     for song in songs:
         seq = encode_sequence(quantize_song(song))
@@ -122,7 +122,7 @@ def test_criterion_2_initial_loss(verdict):
 
 def test_criterion_3_gradient_check(verdict):
     mc = ModelConfig(hidden=4, dropout=0.0, seq_len=3)
-    params = dm.init_params(mc, np.random.default_rng(5))
+    params = dm.ModelParams(mc, np.random.default_rng(5))
     song = synth_songs(SYNTHROCK, SynthConfig(n_songs=1, bars_per_song=2,
                                               seed=5))[0]
     seq = encode_sequence(quantize_song(song), mc.w_past, mc.w_future)

@@ -119,7 +119,16 @@ def test_version_1_document_rejected(saved):
     doc["checksum"] = hashlib.sha256(json.dumps(
         doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     saved.write_text(json.dumps(doc, sort_keys=True))
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(saved)
+
+    # version 2: this file's checksum, and a config that also stored the
+    # vocabulary and condition widths and the clip norm
+    doc = load_doc(saved)
+    doc["version"] = 2
+    doc["config"].update(vocab_sizes=[4, 8, 16], condition_dim=31, grad_clip_norm=5.0)
+    write_resigned(saved, doc)
+    with pytest.raises(CheckpointError, match="version 2"):
         load_checkpoint(saved)
 
 

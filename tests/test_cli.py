@@ -2,11 +2,12 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from drumgen.cli import main
 from drumgen.encoding import load_song, quantize_song
-from drumgen.features import read_features_csv
+from drumgen.features import GLOBAL_FEATURE_NAMES, read_features_csv, write_features_csv
 from drumgen.model import load_checkpoint
 
 
@@ -68,6 +69,56 @@ def test_config_file_with_unknown_keys_rejected(tmp_path, capsys):
     code = run_cli(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")])
     assert code == 2
     assert "warp_factor" in capsys.readouterr().err
+
+
+def test_config_file_naming_out_rejected(tmp_path, capsys):
+    # output paths are the --out flag only, so out is not a config key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"songs": 2, "out": str(tmp_path / "elsewhere")}))
+    code = run_cli(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "'out'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("text", ['[{"songs": 2}]', '{"songs": 2'])
+def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = run_cli(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "cfg.json" in capsys.readouterr().err
+
+
+def test_malformed_meters_is_usage_error(tmp_path, capsys):
+    code = run_cli(["synth", "--meters", "4-4", "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "--meters" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("rate", ["NaN", "Infinity"])
+def test_train_non_finite_learning_rate_rejected(tmp_path, capsys, rate):
+    assert run_cli(["synth", "--songs", "2", "--bars", "1",
+                    "--out", str(tmp_path / "corpus")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"learning_rate": {rate}}}')
+    code = run_cli(["train", str(tmp_path / "corpus"), "--hidden", "4", "--epochs", "1",
+                    "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "learning_rate must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_embed_non_finite_perplexity_rejected(tmp_path, capsys):
+    rows = [(f"p{i}", "g", np.random.default_rng(i).normal(size=len(GLOBAL_FEATURE_NAMES)))
+            for i in range(5)]
+    write_features_csv(tmp_path / "f.csv", rows)
+    code = run_cli(["embed", str(tmp_path / "f.csv"), "--perplexity", "nan",
+                    "--out", str(tmp_path / "map.csv")])
+    assert code == 1
+    assert "perplexity must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "map.csv").exists()
 
 
 def test_gradcheck_passes(capsys):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import tempfile
 
 import numpy as np
 import numpy.testing as npt
@@ -11,8 +13,8 @@ from hypothesis.extra import numpy as hnp
 from drumgen import encoding as enc
 from drumgen.encoding import (Bar, Song, condition_windows, encode_condition,
                               encode_sequence, decode_words, drum_word_index,
-                              load_song, quantize_song, save_song, snap_step,
-                              window_post, window_pre, word_components)
+                              grid_words, load_song, quantize_song, save_song,
+                              snap_step, window_post, window_pre, word_components)
 
 
 def bar(num=4, den=4, bpm=120.0, phrase="mid"):
@@ -243,3 +245,52 @@ def test_song_json_roundtrip(tmp_path):
     # file is plain JSON with the documented keys
     doc = json.loads(path.read_text())
     assert set(doc) == {"title", "bars", "guitar", "bass", "drums"}
+
+
+# bars of supported signatures, any positive tempo, any phrase mark
+bar_lists = st.lists(
+    st.builds(lambda sig, bpm, phrase: Bar(sig[0], sig[1], bpm, phrase),
+              st.sampled_from(enc.SIGNATURES),
+              st.floats(1.0, 400.0, allow_nan=False),
+              st.sampled_from(enc.PHRASE_MARKS)),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def words_over_bars(draw):
+    bars = draw(bar_lists)
+    steps = sum(b.steps for b in bars)
+    columns = [draw(hnp.arrays(np.intp, steps, elements=st.integers(0, vocab - 1)))
+               for vocab in enc.VOCAB_SIZES]
+    return bars, np.stack(columns, axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_over_bars())
+def test_words_survive_decode_quantize_grid_words(case):
+    bars, words = case
+    song = Song(title="w", bars=bars, drums=decode_words(words))
+    npt.assert_array_equal(grid_words(quantize_song(song)), words)
+
+
+@st.composite
+def song_cases(draw):
+    bars = draw(bar_lists)
+    steps = sum(b.steps for b in bars)
+    step = st.integers(0, steps - 1)
+    notes = st.lists(st.tuples(step, st.integers(1, 32), st.integers(0, 127)), max_size=6)
+    return Song(title=draw(st.text(max_size=8)), bars=bars,
+                guitar=draw(notes), bass=draw(notes),
+                drums=draw(st.lists(st.tuples(step, st.sampled_from(enc.COMPONENTS)),
+                                    max_size=12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(song_cases())
+def test_song_survives_save_load(song):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "song.json")
+        save_song(song, path)
+        loaded = load_song(path)
+    assert loaded == song
+    quantize_song(loaded)  # every event lies inside the grid

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from drumgen import autodiff as ad
 from drumgen.autodiff import Tensor, finite_diff_check
-from drumgen.layers import (LinearLayer, LSTMLayer, concat_merge,
-                            dropout_apply, lstm_lanes_forward, lstm_step,
-                            stacked_lstm_step)
+from drumgen.layers import (LinearLayer, LSTMLayer, dropout_apply,
+                            lstm_lanes_forward, lstm_step, stacked_lstm_step)
 
 
 def make_linear(w, b):
-    layer = LinearLayer(len(w), len(w[0]), zero_init=True)
+    layer = LinearLayer(len(w), len(w[0]))
     layer.W.data[...] = w
     layer.b.data[...] = b
     return layer
@@ -177,24 +176,24 @@ def test_stacked_lstm_updates_state_in_place():
 
 def test_concat_merge():
     npt.assert_array_equal(
-        concat_merge([Tensor([1.0, 2.0]), Tensor([3.0])]).data, [1.0, 2.0, 3.0])
+        ad.concat([Tensor([1.0, 2.0]), Tensor([3.0])]).data, [1.0, 2.0, 3.0])
     x = Tensor([4.0, 5.0])
-    npt.assert_array_equal(concat_merge([x]).data, x.data)
+    npt.assert_array_equal(ad.concat([x]).data, x.data)
     one4 = np.eye(4)[1]
     one2 = np.eye(2)[0]
-    npt.assert_array_equal(concat_merge([Tensor(one4), Tensor(one2)]).data,
+    npt.assert_array_equal(ad.concat([Tensor(one4), Tensor(one2)]).data,
                            [0, 1, 0, 0, 1, 0])
 
 
 def test_concat_merge_empty_list():
     with pytest.raises(ValueError):
-        concat_merge([])
+        ad.concat([])
 
 
 def test_merge_then_split_roundtrip():
     a = Tensor(np.arange(3.0))
     b = Tensor(np.arange(4.0) + 10)
-    merged = concat_merge([a, b])
+    merged = ad.concat([a, b])
     npt.assert_array_equal(ad.slice_vec(merged, 0, 3).data, a.data)
     npt.assert_array_equal(ad.slice_vec(merged, 3, 7).data, b.data)
 

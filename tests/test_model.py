@@ -8,9 +8,10 @@ from drumgen import autodiff as ad
 from drumgen import layers as dl
 from drumgen import model as dm
 from drumgen.autodiff import Tape, backward, finite_diff_check
-from drumgen.encoding import STREAM_NAMES, encode_sequence, quantize_song
-from drumgen.model import (Checkpoint, ModelConfig, Optimizer, adam_step,
-                           clip_global_norm, forward_step, init_params,
+from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES,
+                              encode_sequence, quantize_song)
+from drumgen.model import (Checkpoint, ModelConfig, ModelParams, Optimizer,
+                           adam_step, clip_global_norm, forward_step,
                            load_checkpoint, save_checkpoint, sequence_loss,
                            train)
 from drumgen.synth import STYLES, SynthConfig, synth_songs
@@ -35,9 +36,9 @@ def test_default_config_matches_contract():
     cfg = ModelConfig()
     assert (cfg.hidden, cfg.lstm_layers, cfg.dropout) == (256, 2, 0.2)
     assert (cfg.w_past, cfg.w_future) == (4, 4)
-    assert cfg.vocab_sizes == (4, 8, 16)
-    assert cfg.condition_dim == 31
-    assert (cfg.learning_rate, cfg.seq_len, cfg.batch_size, cfg.grad_clip_norm) == \
+    assert VOCAB_SIZES == (4, 8, 16)
+    assert COND_DIM == 31
+    assert (cfg.learning_rate, cfg.seq_len, cfg.batch_size, dm.GRAD_CLIP_NORM) == \
         (1e-3, 64, 16, 5.0)
 
 
@@ -46,18 +47,21 @@ def test_config_validation():
         ModelConfig(dropout=1.0)
     with pytest.raises(ValueError):
         ModelConfig(hidden=0)
+    for rate in (float("nan"), float("inf"), 0.0, -1e-3):
+        with pytest.raises(ValueError, match="learning_rate"):
+            ModelConfig(learning_rate=rate)
 
 
 def test_init_is_seed_deterministic():
     cfg = tiny_config()
-    p1 = init_params(cfg, np.random.default_rng(9))
-    p2 = init_params(cfg, np.random.default_rng(9))
+    p1 = ModelParams(cfg, np.random.default_rng(9))
+    p2 = ModelParams(cfg, np.random.default_rng(9))
     for a, b in zip(p1.parameters(), p2.parameters()):
         npt.assert_array_equal(a.data, b.data)
 
 
 def test_init_forget_bias_and_zero_heads():
-    params = init_params(tiny_config(), np.random.default_rng(0))
+    params = ModelParams(tiny_config(), np.random.default_rng(0))
     h = params.config.hidden
     for s in STREAM_NAMES:
         for layer in params.lstm_stacks[s]:
@@ -67,7 +71,7 @@ def test_init_forget_bias_and_zero_heads():
 
 
 def test_zero_heads_give_uniform_outputs():
-    params = init_params(tiny_config(), np.random.default_rng(1))
+    params = ModelParams(tiny_config(), np.random.default_rng(1))
     state = params.zero_state()
     probs = forward_step(params, [0, 0, 0], np.zeros(31), np.zeros(31), state)
     for p, vocab in zip(probs, (4, 8, 16)):
@@ -76,13 +80,13 @@ def test_zero_heads_give_uniform_outputs():
 
 
 def test_initial_per_step_loss_is_ln512(tiny_corpus):
-    params = init_params(tiny_config(), np.random.default_rng(2))
+    params = ModelParams(tiny_config(), np.random.default_rng(2))
     loss, _ = sequence_loss(params, tiny_corpus[0], 0, 8)
     npt.assert_allclose(float(loss.data), LN512, atol=1e-9)
 
 
 def test_single_step_loss_equals_forward_ce_sum(tiny_corpus):
-    params = init_params(tiny_config(), np.random.default_rng(3))
+    params = ModelParams(tiny_config(), np.random.default_rng(3))
     seq = tiny_corpus[0]
     loss, _ = sequence_loss(params, seq, 4, 5)
     probs = forward_step(params, seq.inputs[4], seq.pre[4], seq.post[4],
@@ -93,22 +97,22 @@ def test_single_step_loss_equals_forward_ce_sum(tiny_corpus):
 
 
 def test_architecture_wiring():
-    params = init_params(tiny_config(), np.random.default_rng(4))
+    params = ModelParams(tiny_config(), np.random.default_rng(4))
     cfg = params.config
     assert set(params.lstm_stacks) == set(STREAM_NAMES)
     assert set(params.heads) == set(STREAM_NAMES)
-    for s, vocab in zip(STREAM_NAMES, cfg.vocab_sizes):
+    for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
         stack = params.lstm_stacks[s]
         assert len(stack) == 2
         assert stack[0].in_dim == vocab + cfg.hidden  # word + pre-FF merge
         assert stack[1].in_dim == cfg.hidden
         assert params.heads[s].W.data.shape == (vocab, 2 * cfg.hidden)  # h + post-FF
-    assert params.pre_ff.W.data.shape == (cfg.hidden, cfg.condition_dim)
-    assert params.post_ff.W.data.shape == (cfg.hidden, cfg.condition_dim)
+    assert params.pre_ff.W.data.shape == (cfg.hidden, COND_DIM)
+    assert params.post_ff.W.data.shape == (cfg.hidden, COND_DIM)
 
 
 def test_dropout_applied_at_eleven_connection_points(monkeypatch):
-    params = init_params(tiny_config(), np.random.default_rng(5))
+    params = ModelParams(tiny_config(), np.random.default_rng(5))
     calls = []
     real = dl.dropout_apply
 
@@ -126,7 +130,7 @@ def test_dropout_applied_at_eleven_connection_points(monkeypatch):
 
 
 def test_post_window_changes_outputs_but_not_states():
-    params = init_params(tiny_config(dropout=0.0), np.random.default_rng(6))
+    params = ModelParams(tiny_config(dropout=0.0), np.random.default_rng(6))
     rng = np.random.default_rng(7)
     for s in STREAM_NAMES:  # heads are zero-initialized; randomize for contrast
         params.heads[s].W.data[...] = rng.normal(size=params.heads[s].W.data.shape)
@@ -147,7 +151,7 @@ def test_post_window_changes_outputs_but_not_states():
 
 
 def test_loss_decreases_after_one_optimizer_step(tiny_corpus):
-    params = init_params(tiny_config(dropout=0.0), np.random.default_rng(8))
+    params = ModelParams(tiny_config(dropout=0.0), np.random.default_rng(8))
     opt = Optimizer(params)
     seq = tiny_corpus[0]
     with Tape() as tape:
@@ -161,7 +165,7 @@ def test_loss_decreases_after_one_optimizer_step(tiny_corpus):
 
 def test_sequence_loss_gradients_match_finite_differences(tiny_corpus):
     cfg = ModelConfig(hidden=2, dropout=0.0, seq_len=2)
-    params = init_params(cfg, np.random.default_rng(9))
+    params = ModelParams(cfg, np.random.default_rng(9))
     seq = tiny_corpus[0]
 
     def loss_fn():
@@ -315,7 +319,7 @@ def run_batch(fn, params, batch, carry, seed):
 
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
 def test_lane_batch_matches_tape_path(tiny_corpus, dropout):
-    params = init_params(tiny_config(dropout=dropout, hidden=5), np.random.default_rng(10))
+    params = ModelParams(tiny_config(dropout=dropout, hidden=5), np.random.default_rng(10))
     randomized_heads(params, 11)
     a, b = tiny_corpus
     # piece 0 carries its state over from the previous batch
@@ -355,7 +359,7 @@ def test_train_matches_tape_step(tiny_corpus, monkeypatch, batch_size):
 
 
 def test_optimizer_step_returns_norm_before_clipping():
-    params = init_params(tiny_config(), np.random.default_rng(15))
+    params = ModelParams(tiny_config(), np.random.default_rng(15))
     plist = params.parameters()
     plist[0].grad[...] = 3.0
     norm = Optimizer(params).step(grad_scale=0.5)
@@ -386,7 +390,7 @@ def test_train_rejects_non_finite_window(tiny_corpus):
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_param_shapes_match_model_params(layers):
     cfg = tiny_config(lstm_layers=layers)
-    params = init_params(cfg, np.random.default_rng(0))
+    params = ModelParams(cfg, np.random.default_rng(0))
     assert dm.param_shapes(cfg) == {p.name: p.data.shape for p in params.parameters()}
 
 

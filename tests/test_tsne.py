@@ -109,5 +109,7 @@ def test_constant_features_are_dropped():
 def test_input_validation():
     with pytest.raises(ValueError, match="3 points"):
         tsne_embed(np.zeros((2, 4)), perplexity=1)
-    with pytest.raises(ValueError, match="perplexity"):
-        tsne_embed(np.random.default_rng(0).normal(size=(5, 3)), perplexity=5)
+    for perplexity in (5, float("nan"), 0, -1):
+        with pytest.raises(ValueError, match="perplexity"):
+            tsne_embed(np.random.default_rng(0).normal(size=(5, 3)),
+                       perplexity=perplexity)
