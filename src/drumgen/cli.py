@@ -2,8 +2,10 @@
 rhythm features, embed them in 2-D, inspect a checkpoint, and
 gradient-check the model.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error. Flags override
-values from an optional JSON config file (--config).
+Exit codes: 0 success, 1 runtime failure, 2 usage error. Each setting
+is one row of OPTIONS, both a --flag and a key of the optional JSON
+config file (--config); a flag wins over the file, the file over the
+default.
 """
 
 import argparse
@@ -14,6 +16,8 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,19 +30,74 @@ from .features import (read_features_csv, song_global_features,
                        write_embedding_csv, write_features_csv)
 from .ioutil import atomic_write_text
 
-CONFIG_KEYS = {
-    "style", "songs", "bars", "meters", "seed", "epochs", "snapshots",
-    "hidden", "dropout", "wpast", "wfuture", "temperature", "seed_steps",
-    "perplexity", "label", "tempo_min", "tempo_max", "phrase_len",
-    "learning_rate", "seq_len", "batch_size", "iterations",
-}
-
 
 class UsageError(Exception):
     pass
 
 
+def _parse_meters(text):
+    meters = []
+    for part in text.split(","):
+        try:
+            num, den = (int(x) for x in part.split("/"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list like 4/4,7/8, got {text!r}") from None
+        meters.append((num, den))
+    return tuple(meters)
+
+
+def _parse_snapshots(text):
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of epochs like 50,150, got {text!r}") from None
+
+
+class Option(NamedTuple):
+    """One setting: a --flag and a config key. type converts the flag's
+    text; int and float rows take that JSON type in a config file, every
+    other row a string that type parses."""
+    name: str
+    type: Callable
+    default: object
+    help: str
+    commands: tuple
+
+
+OPTIONS = (
+    Option("style", str, "synthrock", "corpus style", ("synth",)),
+    Option("songs", int, 8, "number of songs", ("synth",)),
+    Option("bars", int, 8, "bars per song", ("synth",)),
+    Option("meters", _parse_meters, "4/4", "comma list, e.g. 4/4,7/8", ("synth",)),
+    Option("tempo_min", float, 80.0, "lowest tempo, bpm", ("synth",)),
+    Option("tempo_max", float, 135.0, "highest tempo, bpm", ("synth",)),
+    Option("phrase_len", int, 4, "bars per phrase", ("synth",)),
+    Option("seed", int, 0, "random seed", ("synth", "train", "generate", "embed")),
+    Option("epochs", int, 150, "training epochs", ("train",)),
+    Option("snapshots", _parse_snapshots, "50,150", "comma list of epochs", ("train",)),
+    Option("hidden", int, 256, "LSTM width", ("train",)),
+    Option("dropout", float, 0.2, "dropout rate", ("train",)),
+    Option("wpast", int, 4, "past condition window, steps", ("train",)),
+    Option("wfuture", int, 4, "future condition window, steps", ("train",)),
+    Option("learning_rate", float, 1e-3, "Adam step size", ("train",)),
+    Option("seq_len", int, 64, "time steps per training slice", ("train",)),
+    Option("batch_size", int, 16, "slices per Adam step", ("train",)),
+    Option("log_every", int, 0, "print the loss every N epochs; 0 for never", ("train",)),
+    Option("temperature", float, 1.0,
+           "diversity; typical values 0.5, 0.8, 1.0, 1.2", ("generate",)),
+    Option("seed_steps", int, 16, "ground-truth steps before sampling", ("generate",)),
+    Option("label", str, "ground-truth",
+           "group label column (e.g. ground-truth, early, late)", ("features",)),
+    Option("perplexity", float, 5.0, "t-SNE perplexity", ("embed",)),
+    Option("iterations", int, 500, "t-SNE iterations", ("embed",)),
+)
+_BY_NAME = {o.name: o for o in OPTIONS}
+
+
 def _load_config_file(path):
+    """The settings in a JSON config file, type-checked and converted."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -49,33 +108,34 @@ def _load_config_file(path):
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path}: expected a JSON object of settings, "
                          f"got {type(cfg).__name__}")
-    unknown = set(cfg) - CONFIG_KEYS
+    unknown = set(cfg) - set(_BY_NAME)
     if unknown:
         raise UsageError(f"--config {path}: unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def _opt(args, cfg, key, default):
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    return cfg.get(key, default)
-
-
-def _parse_meters(text):
-    meters = []
-    for part in text.split(","):
+    out = {}
+    for key, value in cfg.items():
+        opt = _BY_NAME[key]
+        want, json_type = {int: ("an integer", int),
+                           float: ("a number", (int, float))}.get(opt.type, ("a string", str))
+        if not isinstance(value, json_type) or isinstance(value, bool):
+            raise UsageError(f"--config {path}: {key} must be {want}, got {value!r}")
         try:
-            num, den = (int(x) for x in part.split("/"))
-        except ValueError:
-            raise UsageError(f"--meters: expected a comma list like 4/4,7/8, "
-                             f"got {text!r}") from None
-        meters.append((num, den))
-    return tuple(meters)
+            out[key] = opt.type(value)
+        except argparse.ArgumentTypeError as e:
+            raise UsageError(f"--config {path}: {key}: {e}") from None
+    return out
 
 
-def _parse_snapshots(text):
-    return tuple(int(x) for x in text.split(",")) if text else ()
+def _settings(args):
+    """The subcommand's typed settings: a flag wins over the config file,
+    and the config file over the default."""
+    cfg = _load_config_file(args.config)
+    values = {}
+    for opt in OPTIONS:
+        if args.command in opt.commands:
+            flag = getattr(args, opt.name)
+            values[opt.name] = (flag if flag is not None
+                                else cfg.get(opt.name, opt.type(opt.default)))
+    return argparse.Namespace(**values)
 
 
 def _collect_song_paths(inputs):
@@ -100,53 +160,27 @@ def _collect_song_paths(inputs):
 # subcommands
 
 def cmd_synth(args):
-    cfg = _load_config_file(args.config)
-    style_name = _opt(args, cfg, "style", "synthrock")
-    if style_name not in synth.STYLES:
-        raise UsageError(f"unknown style {style_name!r}; available: {sorted(synth.STYLES)}")
-    meters = _opt(args, cfg, "meters", "4/4")
-    if isinstance(meters, str):
-        meters = _parse_meters(meters)
-    sc = synth.SynthConfig(
-        n_songs=int(_opt(args, cfg, "songs", 8)),
-        bars_per_song=int(_opt(args, cfg, "bars", 8)),
-        meters=meters,
-        tempo_range=(float(_opt(args, cfg, "tempo_min", 80.0)),
-                     float(_opt(args, cfg, "tempo_max", 135.0))),
-        phrase_len=int(_opt(args, cfg, "phrase_len", 4)),
-        seed=int(_opt(args, cfg, "seed", 0)),
-    )
-    paths = synth.synth_corpus(synth.STYLES[style_name], sc, args.out)
+    s = _settings(args)
+    if s.style not in synth.STYLES:
+        raise UsageError(f"unknown style {s.style!r}; available: {sorted(synth.STYLES)}")
+    sc = synth.SynthConfig(n_songs=s.songs, bars_per_song=s.bars, meters=s.meters,
+                           tempo_range=(s.tempo_min, s.tempo_max),
+                           phrase_len=s.phrase_len, seed=s.seed)
+    paths = synth.synth_corpus(synth.STYLES[s.style], sc, args.out)
     print(f"wrote {len(paths)} songs + manifest to {args.out}")
     return 0
 
 
-def _model_config(args, cfg):
-    return dm_model.ModelConfig(
-        hidden=int(_opt(args, cfg, "hidden", 256)),
-        dropout=float(_opt(args, cfg, "dropout", 0.2)),
-        w_past=int(_opt(args, cfg, "wpast", 4)),
-        w_future=int(_opt(args, cfg, "wfuture", 4)),
-        learning_rate=float(_opt(args, cfg, "learning_rate", 1e-3)),
-        seq_len=int(_opt(args, cfg, "seq_len", 64)),
-        batch_size=int(_opt(args, cfg, "batch_size", 16)),
-    )
-
-
 def cmd_train(args):
-    cfg = _load_config_file(args.config)
-    mc = _model_config(args, cfg)
-    snapshots = _opt(args, cfg, "snapshots", "50,150")
-    if isinstance(snapshots, str):
-        snapshots = _parse_snapshots(snapshots)
-    epochs = int(_opt(args, cfg, "epochs", 150))
-    seed = int(_opt(args, cfg, "seed", 0))
-
+    s = _settings(args)
+    mc = dm_model.ModelConfig(hidden=s.hidden, dropout=s.dropout, w_past=s.wpast,
+                              w_future=s.wfuture, learning_rate=s.learning_rate,
+                              seq_len=s.seq_len, batch_size=s.batch_size)
     songs = [load_song(p) for p in _collect_song_paths(args.corpus)]
-    corpus = [encode_sequence(quantize_song(s), mc.w_past, mc.w_future)
-              for s in songs]
-    checkpoints = dm_model.train(corpus, mc, epochs, snapshots, seed=seed,
-                                 log_every=args.log_every)
+    corpus = [encode_sequence(quantize_song(song), mc.w_past, mc.w_future)
+              for song in songs]
+    checkpoints = dm_model.train(corpus, mc, s.epochs, s.snapshots, seed=s.seed,
+                                 log_every=s.log_every)
 
     os.makedirs(args.out, exist_ok=True)
     for ckpt in checkpoints:
@@ -165,12 +199,9 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
-    cfg = _load_config_file(args.config)
-    gc = sampling.GenerationConfig(
-        temperature=float(_opt(args, cfg, "temperature", 1.0)),
-        seed_steps=int(_opt(args, cfg, "seed_steps", 16)),
-        rng_seed=int(_opt(args, cfg, "seed", 0)),
-    )
+    s = _settings(args)
+    gc = sampling.GenerationConfig(temperature=s.temperature, seed_steps=s.seed_steps,
+                                   rng_seed=s.seed)
     ckpt = dm_model.load_checkpoint(args.checkpoint)
     song = load_song(args.conditions)
     track = sampling.condition_track_from_song(song)
@@ -184,8 +215,7 @@ def cmd_generate(args):
 
 
 def cmd_features(args):
-    cfg = _load_config_file(args.config)
-    label = _opt(args, cfg, "label", "ground-truth")
+    label = _settings(args).label
     rows = []
     for path in _collect_song_paths(args.songs):
         song = load_song(path)
@@ -197,16 +227,12 @@ def cmd_features(args):
 
 
 def cmd_embed(args):
-    cfg = _load_config_file(args.config)
+    s = _settings(args)
     rows = []
     for path in args.features:
         rows += read_features_csv(path)
-    emb = tsne.tsne_embed(
-        [vec for _, _, vec in rows],
-        perplexity=float(_opt(args, cfg, "perplexity", 5.0)),
-        iterations=int(_opt(args, cfg, "iterations", 500)),
-        rng=np.random.default_rng(int(_opt(args, cfg, "seed", 0))),
-    )
+    emb = tsne.tsne_embed([vec for _, _, vec in rows], perplexity=s.perplexity,
+                          iterations=s.iterations, rng=np.random.default_rng(s.seed))
     write_embedding_csv(args.out, [p for p, _, _ in rows],
                         [g for _, g, _ in rows], emb.coords)
     print(f"wrote {len(rows)} embedded points to {args.out} "
@@ -231,13 +257,12 @@ def cmd_inspect(args):
 
 def cmd_gradcheck(args):
     from .synth import STYLES, SynthConfig, synth_song
-    seed = args.seed if args.seed is not None else 0
     mc = dm_model.ModelConfig(hidden=4, dropout=0.0, seq_len=3)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     params = dm_model.ModelParams(mc, rng)
     song = synth_song(STYLES["synthrock"],
-                      SynthConfig(n_songs=1, bars_per_song=2, seed=seed),
-                      np.random.default_rng(seed))
+                      SynthConfig(n_songs=1, bars_per_song=2, seed=args.seed),
+                      np.random.default_rng(args.seed))
     seq = encode_sequence(quantize_song(song), mc.w_past, mc.w_future)
 
     def loss_fn():
@@ -249,7 +274,7 @@ def cmd_gradcheck(args):
     print(f"max relative gradient error over {sum(p.data.size for p in params.parameters())} "
           f"parameters: {err:.3e} ({'OK' if ok else 'FAIL'} vs 1e-4)")
 
-    lane_err = _lane_gradient_error(params, seq, seed)
+    lane_err = _lane_gradient_error(params, seq, args.seed)
     lane_ok = lane_err <= 1e-10
     print(f"training batch, lane path vs tape path: max relative gradient difference "
           f"{lane_err:.3e} ({'OK' if lane_ok else 'FAIL'} vs 1e-10)")
@@ -278,70 +303,42 @@ def _lane_gradient_error(params, seq, seed):
 
 # ---------------------------------------------------------------------------
 
+def _add_subcommand(sub, name, func, help_text):
+    """A subparser with a flag for each of its OPTIONS rows, --config and --out."""
+    p = sub.add_parser(name, help=help_text)
+    for opt in OPTIONS:
+        if name in opt.commands:
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                           type=opt.type, help=f"{opt.help} (default: {opt.default})")
+    p.add_argument("--config", help="JSON file of settings; flags override it")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="drumgen",
         description="Conditional drum-rhythm generation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="write a synthetic training corpus")
-    p.add_argument("--style", default=None)
-    p.add_argument("--songs", type=int, default=None)
-    p.add_argument("--bars", type=int, default=None)
-    p.add_argument("--meters", default=None, help="comma list, e.g. 4/4,7/8")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train on a corpus of song files")
+    _add_subcommand(sub, "synth", cmd_synth, "write a synthetic training corpus")
+    p = _add_subcommand(sub, "train", cmd_train, "train on a corpus of song files")
     p.add_argument("corpus", nargs="+", help="song files or corpus directory")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--snapshots", default=None, help="comma list of epochs")
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--wpast", type=int, default=None)
-    p.add_argument("--wfuture", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--log-every", type=int, default=0)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("generate", help="sample drums over a condition song")
+    p = _add_subcommand(sub, "generate", cmd_generate, "sample drums over a condition song")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--conditions", required=True, help="condition Song JSON")
-    p.add_argument("--temperature", type=float, default=None,
-                   help="diversity; typical values 0.5, 0.8, 1.0, 1.2")
-    p.add_argument("--seed-steps", dest="seed_steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("features", help="per-piece rhythm feature CSV")
+    p = _add_subcommand(sub, "features", cmd_features, "per-piece rhythm feature CSV")
     p.add_argument("songs", nargs="+", help="song files or directories")
-    p.add_argument("--label", default=None,
-                   help="group label column (e.g. ground-truth, early, late)")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("embed", help="t-SNE 2-D map of feature CSVs")
+    p = _add_subcommand(sub, "embed", cmd_embed, "t-SNE 2-D map of feature CSVs")
     p.add_argument("features", nargs="+", help="features CSV files")
-    p.add_argument("--perplexity", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("inspect", help="summarize a checkpoint and verify its checksum")
     p.add_argument("checkpoint")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -536,7 +536,8 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     state persists across a piece's slices, resets between pieces), and
     take one clipped Adam step per batch_size slices on the averaged
     gradients. Each batch runs as lanes (lane_batch_backward). Returns
-    checkpoints at each snapshot epoch plus the final epoch. Raises
+    checkpoints at each snapshot epoch plus the final epoch. On resume,
+    config must be None or equal the checkpoint's. Raises
     FloatingPointError on a non-finite batch loss or gradient norm.
     """
     if not corpus:
@@ -548,6 +549,10 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         start_epoch = 0
         loss_history = []
     else:
+        if config is not None and config != resume.config:
+            differ = [f.name for f in fields(ModelConfig)
+                      if getattr(config, f.name) != getattr(resume.config, f.name)]
+            raise ValueError(f"config differs from the resumed checkpoint's in {differ}")
         params, opt, rng = _restore_training(resume)
         config = params.config
         start_epoch = resume.epoch

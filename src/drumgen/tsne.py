@@ -83,6 +83,8 @@ def tsne_embed(vectors, perplexity=5.0, iterations=500, rng=None):
         raise ValueError(f"t-SNE needs at least 3 points, got {n}")
     if not (np.isfinite(perplexity) and perplexity > 0):
         raise ValueError(f"perplexity must be positive and finite, got {perplexity}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
     if perplexity >= n:
         raise ValueError(f"perplexity {perplexity} must be below point count {n}")
     if rng is None:

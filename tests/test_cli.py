@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drumgen.cli import main
+from drumgen import cli
+from drumgen.cli import OPTIONS, build_parser, main
 from drumgen.encoding import load_song, quantize_song
 from drumgen.features import GLOBAL_FEATURE_NAMES, read_features_csv, write_features_csv
 from drumgen.model import load_checkpoint
@@ -97,6 +101,72 @@ def test_malformed_meters_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("synth", {"songs": "x"}),
+    ("synth", {"meters": 44}),
+    ("synth", {"songs": True}),
+    ("train", {"snapshots": 5}),
+    ("train", {"epochs": 1.7}),
+], ids=["songs-str", "meters-int", "songs-bool", "snapshots-int", "epochs-float"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, config):
+    assert run_cli(["synth", "--songs", "1", "--bars", "1",
+                    "--out", str(tmp_path / "corpus")]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    positional = [str(tmp_path / "corpus"), "--hidden", "4"] if command == "train" else []
+    code = run_cli([command, *positional, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert next(iter(config)) in err and "cfg.json" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_malformed_snapshots_is_usage_error(tmp_path, capsys):
+    code = run_cli(["train", str(tmp_path / "corpus"), "--snapshots", "a,b",
+                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "--snapshots" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# required arguments of each subcommand that has OPTIONS rows
+REQUIRED = {"synth": [], "train": ["corpus"], "features": ["songs"], "embed": ["f.csv"],
+            "generate": ["--checkpoint", "c.json", "--conditions", "s.json"]}
+# (config value, flag text) for each option type; both differ from every default
+SAMPLES = {int: (7, "9"), float: (0.5, "0.25"), str: ("a", "b"),
+           cli._parse_meters: ("7/8", "3/4,5/4"), cli._parse_snapshots: ("2", "3,4")}
+
+
+@pytest.mark.parametrize("opt, command", [(o, c) for o in OPTIONS for c in o.commands],
+                         ids=lambda x: x if isinstance(x, str) else x.name)
+def test_option_row_from_config_and_flag(tmp_path, opt, command):
+    config_value, flag_text = SAMPLES[opt.type]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({opt.name: config_value}))
+    argv = [command, *REQUIRED[command], "--config", str(cfg), "--out", "o"]
+    flag = "--" + opt.name.replace("_", "-")
+
+    from_config = getattr(cli._settings(build_parser().parse_args(argv)), opt.name)
+    from_flag = getattr(cli._settings(build_parser().parse_args(argv + [flag, flag_text])),
+                        opt.name)
+    assert from_config == opt.type(config_value) != opt.type(opt.default)
+    assert from_flag == opt.type(flag_text) != from_config
+
+
+def test_readme_cli_examples_parse():
+    """Every drumgen command in README's CLI block parses, and together
+    they use every subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S).group(1)
+    text = re.sub(r"#[^\n]*", "", block).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in text.splitlines() if line.strip()]
+    assert all(argv[0] == "drumgen" for argv in commands)
+    used = {build_parser().parse_args(argv[1:]).command for argv in commands}
+    assert used == {"synth", "train", "generate", "features", "embed", "inspect",
+                    "gradcheck"}
+
+
 @pytest.mark.parametrize("rate", ["NaN", "Infinity"])
 def test_train_non_finite_learning_rate_rejected(tmp_path, capsys, rate):
     assert run_cli(["synth", "--songs", "2", "--bars", "1",
@@ -118,6 +188,17 @@ def test_embed_non_finite_perplexity_rejected(tmp_path, capsys):
                     "--out", str(tmp_path / "map.csv")])
     assert code == 1
     assert "perplexity must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "map.csv").exists()
+
+
+def test_embed_zero_iterations_rejected(tmp_path, capsys):
+    rows = [(f"p{i}", "g", np.random.default_rng(i).normal(size=len(GLOBAL_FEATURE_NAMES)))
+            for i in range(5)]
+    write_features_csv(tmp_path / "f.csv", rows)
+    code = run_cli(["embed", str(tmp_path / "f.csv"), "--perplexity", "2",
+                    "--iterations", "0", "--out", str(tmp_path / "map.csv")])
+    assert code == 1
+    assert "iterations must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "map.csv").exists()
 
 

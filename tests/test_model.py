@@ -270,6 +270,15 @@ def test_resume_matches_uninterrupted_training(tiny_corpus, tmp_path):
         npt.assert_array_equal(resumed.tensors[name], full.tensors[name])
 
 
+def test_resume_with_other_config_rejected(tiny_corpus):
+    ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=6)[-1]
+    other = tiny_config(hidden=ckpt.config.hidden + 2, learning_rate=0.5, batch_size=1)
+    with pytest.raises(ValueError, match=r"\['hidden', 'learning_rate', 'batch_size'\]"):
+        train(tiny_corpus, other, epochs=2, snapshot_epochs=(), resume=ckpt)
+    resumed = train(tiny_corpus, None, epochs=2, snapshot_epochs=(), resume=ckpt)[-1]
+    assert resumed.config == ckpt.config and resumed.epoch == 2
+
+
 def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path):
     ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=7)[-1]
     path = tmp_path / "ckpt.json"

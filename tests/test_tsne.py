@@ -113,3 +113,7 @@ def test_input_validation():
         with pytest.raises(ValueError, match="perplexity"):
             tsne_embed(np.random.default_rng(0).normal(size=(5, 3)),
                        perplexity=perplexity)
+    for iterations in (0, -5):
+        with pytest.raises(ValueError, match="iterations"):
+            tsne_embed(np.random.default_rng(0).normal(size=(5, 3)), perplexity=2,
+                       iterations=iterations)
