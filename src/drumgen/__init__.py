@@ -8,9 +8,9 @@ from .encoding import (Bar, Song, StepGrid, EncodedSequence, quantize_song,
                        save_song)
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
     dropout_apply
-from .model import (ModelConfig, ModelParams, Checkpoint,
+from .model import (ModelConfig, ModelParams, Checkpoint, Weights,
                     forward_step, sequence_loss, adam_step, train,
-                    save_checkpoint, load_checkpoint)
+                    save_checkpoint, load_checkpoint, load_weights)
 from .sampling import (GenerationConfig, ConditionTrack, temperature_adjust,
                        sample_categorical, generate, condition_track_from_song)
 from .features import (bar_features, lhl_syncopation, global_features,

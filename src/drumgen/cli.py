@@ -4,8 +4,8 @@ gradient-check the model.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Each setting
 is one row of OPTIONS, both a --flag and a key of the optional JSON
-config file (--config); a flag wins over the file, the file over the
-default.
+config file (--config) of the subcommands that read it; a flag wins
+over the file, the file over the default.
 """
 
 import argparse
@@ -96,8 +96,9 @@ OPTIONS = (
 _BY_NAME = {o.name: o for o in OPTIONS}
 
 
-def _load_config_file(path):
-    """The settings in a JSON config file, type-checked and converted."""
+def _load_config_file(path, command):
+    """The settings in a JSON config file, type-checked and converted;
+    every key must be one that command reads."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -111,6 +112,10 @@ def _load_config_file(path):
     unknown = set(cfg) - set(_BY_NAME)
     if unknown:
         raise UsageError(f"--config {path}: unknown config keys: {sorted(unknown)}")
+    foreign = sorted(k for k in cfg if command not in _BY_NAME[k].commands)
+    if foreign:
+        raise UsageError(f"--config {path}: {command} does not read config keys " + "; ".join(
+            f"{k!r} (read by {', '.join(_BY_NAME[k].commands)})" for k in foreign))
     out = {}
     for key, value in cfg.items():
         opt = _BY_NAME[key]
@@ -128,7 +133,7 @@ def _load_config_file(path):
 def _settings(args):
     """The subcommand's typed settings: a flag wins over the config file,
     and the config file over the default."""
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args.config, args.command)
     values = {}
     for opt in OPTIONS:
         if args.command in opt.commands:
@@ -202,10 +207,10 @@ def cmd_generate(args):
     s = _settings(args)
     gc = sampling.GenerationConfig(temperature=s.temperature, seed_steps=s.seed_steps,
                                    rng_seed=s.seed)
-    ckpt = dm_model.load_checkpoint(args.checkpoint)
+    weights = dm_model.load_weights(args.checkpoint)
     song = load_song(args.conditions)
     track = sampling.condition_track_from_song(song)
-    words = sampling.generate(ckpt, track, gc)
+    words = sampling.generate(weights, track, gc)
     out_song = Song(title=f"{song.title}+generated", bars=song.bars,
                     guitar=song.guitar, bass=song.bass,
                     drums=decode_words(words))

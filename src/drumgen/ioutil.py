@@ -13,15 +13,23 @@ def _default_file_mode():
     return 0o666 & ~umask
 
 
-def atomic_write_text(path, text):
+def atomic_write_bytes(path, chunks):
+    """Write the bytes-like objects in chunks, in order, as the new
+    content of path. Each chunk is written from its own memory, so a
+    C-contiguous numpy array can be passed without a copy."""
     path = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), _default_file_mode())  # mkstemp made it 0o600
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    atomic_write_bytes(path, [text.encode("utf-8")])

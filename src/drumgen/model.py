@@ -6,11 +6,13 @@ concatenated onto each stream's word input, the current/future-window
 module output onto each stack's top hidden state before the head.
 """
 
-import base64
 import copy
 import functools
 import hashlib
 import json
+import math
+import os
+import struct
 import types
 from dataclasses import dataclass, asdict, field, fields
 
@@ -25,9 +27,12 @@ from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
     lstm_lanes_forward, lstm_lanes_backward, head_ce_lanes, lstm_cell_lanes, \
     softmax_rows_inplace, _gate_affine
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows
+from .ioutil import atomic_write_bytes
+# atomic_write_text is unused here but importable: perfbench/spans.py wraps
+# it under this module's name when it traces a run.
 from .ioutil import atomic_write_text
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -324,9 +329,10 @@ class InferenceRun:
     layer 1's condition columns plus bias, and each head's post-FF half
     plus bias. A step gathers layer 1's word column and runs the recurrent
     and upper-layer products, the gate math and the heads' h_top half, on
-    single rows so that it shares the lane ops of training. Weights are
-    views of ckpt.tensors, checked against the config. Probabilities match
-    forward_step up to float rounding.
+    single rows so that it shares the lane ops of training. ckpt is a
+    Checkpoint or Weights; the weights are views of its tensors, checked
+    against its config. Probabilities match forward_step up to float
+    rounding.
     """
 
     def __init__(self, ckpt, cond):
@@ -444,6 +450,14 @@ class Checkpoint:
     loss_history: list = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class Weights:
+    """A checkpoint's config and parameter values without its training
+    state (load_weights): enough for generate, refused by train(resume=)."""
+    config: ModelConfig
+    tensors: dict
+
+
 def make_checkpoint(params, opt, rng, epoch, loss_history):
     return Checkpoint(
         config=params.config,
@@ -486,11 +500,18 @@ def params_from_checkpoint(ckpt):
     return params
 
 
-def _restore_training(ckpt):
-    params = params_from_checkpoint(ckpt)
-    shapes = param_shapes(params.config)
+def _check_training_arrays(ckpt):
+    """Raise CheckpointError unless ckpt's tensors and both moments have
+    its config's names and shapes."""
+    shapes = param_shapes(ckpt.config)
+    _check_arrays("tensors", ckpt.tensors, shapes)
     for k, what in enumerate(("first moments", "second moments")):
         _check_arrays(what, {n: mv[k] for n, mv in ckpt.moments.items()}, shapes)
+
+
+def _restore_training(ckpt):
+    _check_training_arrays(ckpt)
+    params = params_from_checkpoint(ckpt)
     opt = Optimizer(params)
     opt.t = ckpt.adam_t
     for name, (m, v) in ckpt.moments.items():
@@ -536,12 +557,16 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     state persists across a piece's slices, resets between pieces), and
     take one clipped Adam step per batch_size slices on the averaged
     gradients. Each batch runs as lanes (lane_batch_backward). Returns
-    checkpoints at each snapshot epoch plus the final epoch. On resume,
-    config must be None or equal the checkpoint's. Raises
-    FloatingPointError on a non-finite batch loss or gradient norm.
+    checkpoints at each snapshot epoch plus the final epoch. resume must
+    be a Checkpoint (load_checkpoint, not load_weights), and config None
+    or equal to its config. Raises FloatingPointError on a non-finite
+    batch loss or gradient norm.
     """
     if not corpus:
         raise ValueError("empty corpus")
+    if resume is not None and not isinstance(resume, Checkpoint):
+        raise TypeError(f"resume needs a Checkpoint with moments and RNG state "
+                        f"(load_checkpoint), got {type(resume).__name__}")
     if resume is None:
         rng = np.random.default_rng(seed)
         params = ModelParams(config, rng)
@@ -592,104 +617,236 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint files: JSON container, base64 float64 blobs, sha256 checksum
+# Checkpoint files, version 4: the .npy idea (NumPy NEP 1), a
+# self-describing header followed by raw array data. The file is
+#   _MAGIC, the header's length in bytes (<u8),
+#   the header: canonical JSON (_canonical) of version, config, epoch,
+#     adam_t, rng_state, loss_history, layout (each tensor's name, shape
+#     and byte offset, in name order), sections (each section's length
+#     and sha256) and header_sha256 (the sha256 of the header's canonical
+#     JSON without that field),
+#   the tensors section: each tensor's <f8 data in name order,
+#   the moments section: each tensor's Adam m, then v, in name order.
 
-_DOC_KEYS = frozenset({"version", "checksum", "config", "epoch", "adam_t",
-                       "rng_state", "tensors", "moments", "loss_history"})
+_MAGIC = b"\x93DRUMGEN"
+_PREFIX = struct.Struct("<8sQ")
+_FLOAT = np.dtype("<f8")
+_HEADER_KEYS = frozenset({"version", "config", "epoch", "adam_t", "rng_state",
+                          "loss_history", "layout", "sections", "header_sha256"})
 _CONFIG_KEYS = frozenset(f.name for f in fields(ModelConfig))
+_SECTIONS = ("tensors", "moments")
+_PCG64_KEYS = frozenset({"bit_generator", "state", "has_uint32", "uinteger"})
 
 
-def _encode_array(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return {"shape": list(a.shape),
-            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+def _canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode()
 
 
-def _decode_array(d):
-    a = np.frombuffer(base64.b64decode(d["data"]), dtype=np.float64)
-    return a.reshape(d["shape"]).copy()
+def _layout(config):
+    """The layout of config's tensors section, and its length in bytes."""
+    layout, offset = [], 0
+    for name, shape in sorted(param_shapes(config).items()):
+        layout.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += _FLOAT.itemsize * math.prod(shape)
+    return layout, offset
 
 
-def _without_data(entry):
-    return {k: v for k, v in entry.items() if k != "data"}
+def _section(arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
+    return {"length": sum(a.nbytes for a in arrays), "sha256": digest.hexdigest()}
 
 
-def _payload_checksum(payload):
-    """sha256 of a checkpoint document without its checksum field: the
-    canonical JSON of everything but the array data (each array's name
-    and shape included), then each array's base64 text as stored, the
-    tensors in name order, then each moment's m and v in name order."""
-    header = dict(payload,
-                  tensors={k: _without_data(e) for k, e in payload["tensors"].items()},
-                  moments={k: [_without_data(e) for e in mv]
-                           for k, mv in payload["moments"].items()})
-    h = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-    for k in sorted(payload["tensors"]):
-        h.update(payload["tensors"][k]["data"].encode())
-    for k in sorted(payload["moments"]):
-        for e in payload["moments"][k]:
-            h.update(e["data"].encode())
-    return h.hexdigest()
+def _is_count(value):
+    return type(value) is int and value >= 0
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _is_pcg64_state(state):
+    return (isinstance(state, dict) and set(state) == _PCG64_KEYS
+            and state["bit_generator"] == "PCG64"
+            and isinstance(state["state"], dict) and set(state["state"]) == {"state", "inc"}
+            and all(_is_count(v) and v < 2 ** 128 for v in state["state"].values())
+            and state["has_uint32"] in (0, 1) and type(state["has_uint32"]) is int
+            and _is_count(state["uinteger"]) and state["uinteger"] < 2 ** 32)
+
+
+def _check_values(header, path):
+    """Raise CheckpointError, naming path and the field, unless the
+    header's training values have the types a Checkpoint holds; returns
+    its ModelConfig."""
+    for name in ("epoch", "adam_t"):
+        if not _is_count(header[name]):
+            raise CheckpointError(f"malformed checkpoint {path}: {name} must be a "
+                                  f"non-negative integer, got {header[name]!r}")
+    losses = header["loss_history"]
+    if not (isinstance(losses, list) and all(_is_number(x) for x in losses)):
+        raise CheckpointError(f"malformed checkpoint {path}: loss_history must be "
+                              f"a list of finite numbers, got {losses!r}")
+    if not _is_pcg64_state(header["rng_state"]):
+        raise CheckpointError(f"malformed checkpoint {path}: rng_state is not a "
+                              f"PCG64 state: {header['rng_state']!r}")
+    config = header["config"]
+    if not isinstance(config, dict) or set(config) != _CONFIG_KEYS or any(
+            not (_is_count(config[f.name]) if f.type is int else _is_number(config[f.name]))
+            for f in fields(ModelConfig)):
+        raise CheckpointError(f"malformed checkpoint {path}: config must hold "
+                              f"ModelConfig's {sorted(_CONFIG_KEYS)} with their types, "
+                              f"got {config!r}")
+    try:
+        return ModelConfig(**config)
+    except ValueError as e:
+        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
 
 
 def save_checkpoint(ckpt, path):
-    payload = {
+    """Write ckpt to path in the version-4 layout, atomically. The
+    arrays' memory is written as it is, without an intermediate copy."""
+    config = ckpt.config
+    _check_training_arrays(ckpt)
+    names = sorted(ckpt.tensors)
+    tensors = [np.ascontiguousarray(ckpt.tensors[n], dtype=_FLOAT) for n in names]
+    moments = [np.ascontiguousarray(a, dtype=_FLOAT) for n in names for a in ckpt.moments[n]]
+    header = {
         "version": CHECKPOINT_VERSION,
-        "config": asdict(ckpt.config),
+        "config": asdict(config),
         "epoch": ckpt.epoch,
         "adam_t": ckpt.adam_t,
         "rng_state": ckpt.rng_state,
-        "tensors": {k: _encode_array(v) for k, v in ckpt.tensors.items()},
-        "moments": {k: [_encode_array(m), _encode_array(v)]
-                    for k, (m, v) in ckpt.moments.items()},
         "loss_history": ckpt.loss_history,
+        "layout": _layout(config)[0],
+        "sections": {"tensors": _section(tensors), "moments": _section(moments)},
     }
-    payload["checksum"] = _payload_checksum(payload)
-    atomic_write_text(path, json.dumps(payload, sort_keys=True))
+    _check_values(header, path)
+    header["header_sha256"] = hashlib.sha256(_canonical(header)).hexdigest()
+    text = _canonical(header)
+    atomic_write_bytes(path, [_PREFIX.pack(_MAGIC, len(text)), text, *tensors, *moments])
+
+
+def _read_header(fh, path):
+    """Read and verify the prefix and header of an open checkpoint file,
+    leaving fh at the tensors section. Returns (header, config, layout,
+    tensors section length)."""
+    prefix = fh.read(_PREFIX.size)
+    if prefix.startswith(b"{"):
+        raise CheckpointError(
+            f"{path} is a JSON checkpoint of version 3 or older, which this version "
+            f"cannot read; retrain to write a version-{CHECKPOINT_VERSION} checkpoint")
+    if len(prefix) < _PREFIX.size or not prefix.startswith(_MAGIC):
+        raise CheckpointError(f"{path} is not a drumgen checkpoint: it does not "
+                              f"start with {_MAGIC!r} and a header length")
+    size = os.fstat(fh.fileno()).st_size
+    n = _PREFIX.unpack(prefix)[1]
+    if n > size - _PREFIX.size:
+        raise CheckpointError(f"truncated checkpoint {path}: a header of {n} bytes "
+                              f"does not fit in {size} bytes")
+    text = fh.read(n)
+    try:
+        header = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # also not UTF-8, or nested too deep
+        raise CheckpointError(f"corrupted checkpoint {path}: header is not "
+                              f"UTF-8 JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"corrupted checkpoint {path}: header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {header.get('version')!r}, unsupported "
+            f"(expected {CHECKPOINT_VERSION})")
+    if set(header) != _HEADER_KEYS:
+        raise CheckpointError(
+            f"malformed checkpoint {path}: missing keys "
+            f"{sorted(_HEADER_KEYS - set(header))}, unexpected {sorted(set(header) - _HEADER_KEYS)}")
+    body = {k: v for k, v in header.items() if k != "header_sha256"}
+    try:
+        digest = hashlib.sha256(_canonical(body)).hexdigest()
+        canonical = _canonical(header) == text
+    except ValueError as e:  # NaN or infinity
+        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
+    if not canonical or header["header_sha256"] != digest:
+        raise CheckpointError(f"checksum mismatch in the header of {path}")
+    config = _check_values(header, path)
+    layout, length = _layout(config)
+    if header["layout"] != layout:
+        raise CheckpointError(f"malformed checkpoint {path}: layout does not match "
+                              f"its config's parameters")
+    sections = header["sections"]
+    if not (isinstance(sections, dict) and set(sections) == set(_SECTIONS) and all(
+            isinstance(s, dict) and set(s) == {"length", "sha256"} for s in sections.values())):
+        raise CheckpointError(f"malformed checkpoint {path}: sections must be "
+                              f"{list(_SECTIONS)}, each with length and sha256")
+    if [sections[s]["length"] for s in _SECTIONS] != [length, 2 * length]:
+        raise CheckpointError(f"malformed checkpoint {path}: section lengths "
+                              f"{[sections[s]['length'] for s in _SECTIONS]}, its config "
+                              f"needs {[length, 2 * length]}")
+    if size != _PREFIX.size + n + 3 * length:
+        raise CheckpointError(f"truncated or extended checkpoint {path}: {size} bytes, "
+                              f"its header needs {_PREFIX.size + n + 3 * length}")
+    return header, config, layout, length
+
+
+def _read_section(fh, path, header, name, length):
+    """The next length bytes of fh as a float array, checked against the
+    sha256 of section name."""
+    buf = np.empty(length // _FLOAT.itemsize, dtype=_FLOAT)
+    view = memoryview(buf.view(np.uint8))
+    got = 0
+    while got < length:
+        n = fh.readinto(view[got:])
+        if not n:
+            raise CheckpointError(f"truncated checkpoint {path}: {name} section")
+        got += n
+    if hashlib.sha256(buf).hexdigest() != header["sections"][name]["sha256"]:
+        raise CheckpointError(f"checksum mismatch in the {name} section of {path}")
+    return buf
+
+
+def _views(buf, layout, step=1):
+    """Each layout entry's array as views of buf; with step 2, (m, v)
+    pairs as the moments section stores them."""
+    out = {}
+    for e in layout:
+        a = step * e["offset"] // _FLOAT.itemsize
+        size = math.prod(e["shape"])
+        arrays = [buf[a + k * size:a + (k + 1) * size].reshape(e["shape"])
+                  for k in range(step)]
+        out[e["name"]] = arrays[0] if step == 1 else tuple(arrays)
+    return out
+
+
+def load_weights(path):
+    """The config and tensors of a checkpoint file, for inference. Reads
+    the header and the tensors section and verifies both digests; the
+    moments section is neither read nor verified. Raises CheckpointError,
+    naming the path, as load_checkpoint does for those parts."""
+    with open(path, "rb") as fh:
+        header, config, layout, length = _read_header(fh, path)
+        tensors = _read_section(fh, path, header, "tensors", length)
+    return Weights(config, _views(tensors, layout))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint file. The checksum is verified before any array
-    is decoded. Raises CheckpointError, naming the path, for a file that
-    is not a JSON object of this version's keys, whose checksum does not
-    match, or whose config or arrays do not decode."""
+    """Read a whole checkpoint file, every digest verified. Raises
+    CheckpointError, naming the path, for a JSON file (versions 1-3), a
+    file without the prefix or of another version, a header that is not
+    canonical JSON of this version's keys and value types or whose
+    layout does not match its config, a digest that does not match, or
+    a file of the wrong length."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except (ValueError, RecursionError) as e:  # also not UTF-8, or nested too deep
-        raise CheckpointError(f"corrupted checkpoint {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"corrupted checkpoint {path}: not a JSON object")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has version {doc.get('version')!r}, unsupported "
-            f"(expected {CHECKPOINT_VERSION})")
-    if set(doc) != _DOC_KEYS:
-        raise CheckpointError(
-            f"malformed checkpoint {path}: missing keys {sorted(_DOC_KEYS - set(doc))}, "
-            f"unexpected {sorted(set(doc) - _DOC_KEYS)}")
-    stored = doc.pop("checksum")
-    try:
-        checksum = _payload_checksum(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"malformed checkpoint {path}: bad array entry: {e!r}") from e
-    if stored != checksum:
-        raise CheckpointError(f"checksum mismatch in {path}")
-    config = doc["config"]
-    if not isinstance(config, dict) or set(config) != _CONFIG_KEYS:
-        raise CheckpointError(f"malformed checkpoint {path}: config keys do not match "
-                              f"ModelConfig's {sorted(_CONFIG_KEYS)}")
-    try:
-        return Checkpoint(
-            config=ModelConfig(**config),
-            epoch=doc["epoch"],
-            tensors={k: _decode_array(e) for k, e in doc["tensors"].items()},
-            moments={k: (_decode_array(m), _decode_array(v))
-                     for k, (m, v) in doc["moments"].items()},
-            adam_t=doc["adam_t"],
-            rng_state=doc["rng_state"],
-            loss_history=list(doc["loss_history"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
+        header, config, layout, length = _read_header(fh, path)
+        tensors = _read_section(fh, path, header, "tensors", length)
+        moments = _read_section(fh, path, header, "moments", 2 * length)
+    return Checkpoint(
+        config=config,
+        epoch=header["epoch"],
+        tensors=_views(tensors, layout),
+        moments=_views(moments, layout, step=2),
+        adam_t=header["adam_t"],
+        rng_state=header["rng_state"],
+        loss_history=header["loss_history"],
+    )

@@ -104,7 +104,8 @@ def generate(checkpoint, conditions, gen_config, seed_words=None):
     The first seed_steps are copied from seed_words (defaults to the
     condition track's own drums) while warming the recurrent state; every
     later step feeds the sampled words back as the next input. Dropout is
-    off throughout. Runs without the tape (model.InferenceRun).
+    off throughout. Runs without the tape (model.InferenceRun), from a
+    Checkpoint or the Weights of model.load_weights.
     """
     cond, seed = _check_request(conditions, gen_config, seed_words)
     run = InferenceRun(checkpoint, cond)

@@ -12,6 +12,7 @@ from drumgen import cli
 from drumgen.cli import OPTIONS, build_parser, main
 from drumgen.encoding import load_song, quantize_song
 from drumgen.features import GLOBAL_FEATURE_NAMES, read_features_csv, write_features_csv
+from drumgen import model as dm_model
 from drumgen.model import load_checkpoint
 
 
@@ -83,6 +84,25 @@ def test_config_file_naming_out_rejected(tmp_path, capsys):
     assert code == 2
     assert "'out'" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("synth", {"hidden": 8}, ["'hidden' (read by train)"]),
+    ("train", {"songs": 2, "temperature": 0.5},
+     ["'songs' (read by synth)", "'temperature' (read by generate)"]),
+    ("generate", {"seed": 1, "perplexity": 3}, ["'perplexity' (read by embed)"]),
+], ids=["synth-hidden", "train-songs-temperature", "generate-perplexity"])
+def test_config_key_of_another_subcommand_is_usage_error(tmp_path, capsys, command,
+                                                        config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run_cli([command, *REQUIRED[command], "--config", str(cfg),
+                    "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and all(text in err for text in named)
+    assert "'seed'" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text", ['[{"songs": 2}]', '{"songs": 2'])
@@ -240,8 +260,7 @@ def pipeline(tmp_path_factory):
 
 
 def test_pipeline_outputs_exist_and_parse(pipeline):
-    assert json.loads((pipeline / "run" / "checkpoint_epoch_0001.json")
-                      .read_text())["epoch"] == 1
+    assert load_checkpoint(pipeline / "run" / "checkpoint_epoch_0001.json").epoch == 1
     gen = load_song(pipeline / "generated.json")
     grid = quantize_song(gen)
     assert grid.total_steps == 64
@@ -291,13 +310,44 @@ def test_inspect_prints_summary_and_writes_nothing(pipeline, capsys):
     assert lines[-1] == "checksum OK"
 
 
+def flip_byte_in_section(src, dst, section):
+    """Copy checkpoint src to dst with one byte flipped 200 bytes into its
+    tensors or moments section."""
+    raw = bytearray(src.read_bytes())
+    start = 16 + int.from_bytes(raw[8:16], "little")  # after magic, length, header
+    header = json.loads(raw[16:start])
+    if section == "moments":
+        start += header["sections"]["tensors"]["length"]
+    raw[start + 200] ^= 1
+    dst.write_bytes(bytes(raw))
+
+
 def test_inspect_bad_checkpoint_is_runtime_error(pipeline, tmp_path, capsys):
-    text = (pipeline / "run" / "checkpoint_epoch_0002.json").read_text()
-    i = text.index('"tensors"') + 200
     bad = tmp_path / "bad.json"
-    bad.write_text(text[:i] + ("A" if text[i] != "A" else "B") + text[i + 1:])
+    flip_byte_in_section(pipeline / "run" / "checkpoint_epoch_0002.json", bad, "tensors")
     assert run_cli(["inspect", str(bad)]) == 1
     captured = capsys.readouterr()
     assert "checksum OK" not in captured.out
     assert "checksum mismatch" in captured.err and "bad.json" in captured.err
     assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_generate_ignores_damaged_moments_that_inspect_rejects(pipeline, tmp_path, capsys):
+    """generate reads the weights only, so a flipped byte in the moments
+    section leaves its song unchanged, while a full load and inspect fail."""
+    good = pipeline / "run" / "checkpoint_epoch_0002.json"
+    bad = tmp_path / "bad.json"
+    flip_byte_in_section(good, bad, "moments")
+    songs = []
+    for ckpt in (good, bad):
+        out = tmp_path / f"gen-{ckpt.stem}.json"
+        assert run_cli(["generate", "--checkpoint", str(ckpt),
+                        "--conditions", str(pipeline / "corpus" / "synthrock-001.json"),
+                        "--seed", "3", "--out", str(out)]) == 0
+        songs.append(out.read_bytes())
+    assert songs[0] == songs[1]
+    with pytest.raises(dm_model.CheckpointError, match="moments section"):
+        load_checkpoint(bad)
+    capsys.readouterr()
+    assert run_cli(["inspect", str(bad)]) == 1
+    assert "checksum mismatch in the moments section" in capsys.readouterr().err

@@ -270,6 +270,14 @@ def test_resume_matches_uninterrupted_training(tiny_corpus, tmp_path):
         npt.assert_array_equal(resumed.tensors[name], full.tensors[name])
 
 
+def test_resume_from_weights_only_rejected(tiny_corpus, tmp_path):
+    ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=6)[-1]
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(TypeError, match="Checkpoint .*got Weights"):
+        train(tiny_corpus, None, epochs=2, snapshot_epochs=(), resume=dm.load_weights(path))
+
+
 def test_resume_with_other_config_rejected(tiny_corpus):
     ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=6)[-1]
     other = tiny_config(hidden=ckpt.config.hidden + 2, learning_rate=0.5, batch_size=1)
@@ -283,22 +291,21 @@ def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path):
     ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=7)[-1]
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
-    blob = path.read_text()
-    i = blob.index('"tensors"') + 200
-    path.write_text(blob[:i] + ("A" if blob[i] != "A" else "B") + blob[i + 1:])
-    with pytest.raises(dm.CheckpointError, match="checksum"):
+    raw = bytearray(path.read_bytes())
+    header_end = 16 + int.from_bytes(raw[8:16], "little")  # after magic, length, header
+    raw[header_end + 200] ^= 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(dm.CheckpointError, match="checksum mismatch in the tensors section"):
         load_checkpoint(path)
 
 
 def test_checkpoint_version_mismatch(tiny_corpus, tmp_path):
-    import json
     ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=7)[-1]
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
-    doc = json.loads(path.read_text())
-    doc["version"] = 999
-    path.write_text(json.dumps(doc))
-    with pytest.raises(dm.CheckpointError, match="version"):
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"version":4', b'"version":9', 1))
+    with pytest.raises(dm.CheckpointError, match="version 9"):
         load_checkpoint(path)
 
 

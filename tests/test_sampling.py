@@ -8,7 +8,8 @@ import pytest
 from drumgen.encoding import (VOCAB_SIZES, encode_sequence, quantize_song,
                               window_post, window_pre)
 from drumgen.model import (CheckpointError, InferenceRun, ModelConfig,
-                           forward_step, params_from_checkpoint, train)
+                           forward_step, load_weights, params_from_checkpoint,
+                           save_checkpoint, train)
 from drumgen.sampling import (GenerationConfig, condition_track_from_song,
                               generate, sample_categorical, temperature_adjust)
 from drumgen.synth import STYLES, SynthConfig, synth_song, synth_songs
@@ -123,6 +124,14 @@ def test_generate_under_unseen_meter_completes(tiny_checkpoint):
     words = generate(tiny_checkpoint, track,
                      GenerationConfig(temperature=1.0, seed_steps=4, rng_seed=5))
     assert len(words) == 4 * 18  # four 9/8 bars
+
+
+def test_generate_from_weights_equals_generate_from_checkpoint(tiny_checkpoint, tmp_path):
+    save_checkpoint(tiny_checkpoint, tmp_path / "ckpt.json")
+    weights = load_weights(tmp_path / "ckpt.json")
+    track = condition_track_from_song(eval_song())
+    gc = GenerationConfig(temperature=1.0, seed_steps=8, rng_seed=5)
+    npt.assert_array_equal(generate(weights, track, gc), generate(tiny_checkpoint, track, gc))
 
 
 def test_generate_rejects_oversized_seed(tiny_checkpoint):
