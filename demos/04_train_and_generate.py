@@ -2,7 +2,7 @@
 """Train a small model on the synthetic style, then sample drums over a
 fresh condition track at several diversity settings.
 
-Takes about a minute; bump EPOCHS/hidden for better rhythms.
+Takes a few seconds; bump EPOCHS/hidden for better rhythms.
 """
 
 import time

@@ -195,8 +195,7 @@ def cmd_train(args):
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(("epoch", "loss"))
-    for i, loss in enumerate(checkpoints[-1].loss_history, start=1):
-        w.writerow((i, repr(loss)))
+    w.writerows((i, repr(loss)) for i, loss in enumerate(checkpoints[-1].loss_history, start=1))
     atomic_write_text(os.path.join(args.out, "loss.csv"), buf.getvalue())
     print(f"final per-step loss: "
           f"{checkpoints[-1].loss_history[-1] if checkpoints[-1].loss_history else float('nan')}")
@@ -262,7 +261,8 @@ def cmd_inspect(args):
 
 def cmd_gradcheck(args):
     from .synth import STYLES, SynthConfig, synth_song
-    mc = dm_model.ModelConfig(hidden=4, dropout=0.0, seq_len=3)
+    # dropout acts only in the lane/tape comparison, which trains
+    mc = dm_model.ModelConfig(hidden=4, dropout=0.2, seq_len=3)
     rng = np.random.default_rng(args.seed)
     params = dm_model.ModelParams(mc, rng)
     song = synth_song(STYLES["synthrock"],
@@ -270,11 +270,8 @@ def cmd_gradcheck(args):
                       np.random.default_rng(args.seed))
     seq = encode_sequence(quantize_song(song), mc.w_past, mc.w_future)
 
-    def loss_fn():
-        loss, _ = dm_model.sequence_loss(params, seq, 0, 3, training=False)
-        return loss
-
-    err = finite_diff_check(loss_fn, params.parameters())
+    err = finite_diff_check(lambda: dm_model.sequence_loss(params, seq, 0, 3)[0],
+                            params.parameters())
     ok = err <= 1e-4
     print(f"max relative gradient error over {sum(p.data.size for p in params.parameters())} "
           f"parameters: {err:.3e} ({'OK' if ok else 'FAIL'} vs 1e-4)")
@@ -289,12 +286,11 @@ def cmd_gradcheck(args):
 def _lane_gradient_error(params, seq, seed):
     """Max relative difference between the batch gradients of the lane
     path and the tape path: two lanes of unequal length plus a piece with
-    two slices, dropout 0.2 drawn from equal rngs. The heads are
-    randomized so that every parameter gets a gradient."""
+    two slices, with the config's dropout drawn from equal rngs. The heads
+    are randomized so that every parameter gets a gradient."""
     rng = np.random.default_rng(seed)
     for head in params.heads.values():
         head.W.data[...] = rng.normal(size=head.W.data.shape)
-    params.config = dataclasses.replace(params.config, dropout=0.2)
     batch = [(0, seq, 0, 3), (0, seq, 3, 6), (1, seq, 0, 2)]
     grads = []
     for path in (dm_model.lane_batch_backward, dm_model.tape_batch_backward):

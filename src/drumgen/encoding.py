@@ -112,14 +112,6 @@ def metrical_class_of_pos(pos):
     return 3
 
 
-def register_class(pitch, cuts):
-    if pitch < cuts[0]:
-        return 0
-    if pitch < cuts[1]:
-        return 1
-    return 2
-
-
 def tempo_bin(bpm):
     return int(np.searchsorted(TEMPO_EDGES, bpm, side="right"))
 
@@ -142,8 +134,8 @@ def _note_classes(events, total, cuts, track):
     classes = np.zeros(total, dtype=np.intp)
     sounding = np.isfinite(sounding_min)
     classes[sounding] = 1  # hold
-    for t in np.flatnonzero(onset):
-        classes[t] = 2 + register_class(sounding_min[t], cuts)
+    # onsets: 2 + the register, the number of cuts at or below the pitch
+    classes[onset] = 2 + np.searchsorted(cuts, sounding_min[onset], side="right")
     return classes
 
 
@@ -252,6 +244,31 @@ def condition_windows(cond, w_p, w_f):
     return pre, post
 
 
+def check_words(words, what, rows):
+    """words[:rows]; raises ValueError, naming what, unless words is an integer
+    [>= rows x 3] array whose first rows rows lie inside VOCAB_SIZES."""
+    words = np.asarray(words)
+    if words.ndim != 2 or words.shape[1] != 3 or len(words) < rows or \
+            not np.issubdtype(words.dtype, np.integer):
+        raise ValueError(f"need [>= {rows} x 3] integer {what}, "
+                         f"got shape {words.shape} of {words.dtype}")
+    words = words[:rows]
+    if rows and (words.min() < 0 or np.any(words.max(axis=0) >= VOCAB_SIZES)):
+        raise ValueError(f"{what} must lie inside the vocabularies {VOCAB_SIZES}")
+    return words
+
+
+def check_cond(cond, what):
+    """cond as an array; raises ValueError, naming what, unless finite real [T x COND_DIM]."""
+    cond = np.asarray(cond)
+    if cond.ndim != 2 or cond.shape[1] != COND_DIM or cond.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be [T x {COND_DIM}] real numbers, "
+                         f"got shape {cond.shape} of {cond.dtype}")
+    if not np.all(np.isfinite(cond)):
+        raise ValueError(f"{what} has non-finite values")
+    return cond
+
+
 @dataclass
 class EncodedSequence:
     """Aligned per-step training arrays for one piece.
@@ -262,22 +279,29 @@ class EncodedSequence:
     inputs: np.ndarray      # [T x 3] int
     targets: np.ndarray     # [T x 3] int
     cond: np.ndarray        # [T x 31]
-    pre: np.ndarray         # [T x 31]
-    post: np.ndarray        # [T x 31]
+    w_past: int
+    w_future: int
 
     def __len__(self):
         return len(self.targets)
+
+    def windows(self):
+        """(pre, post), [T x 31] each, derived from cond on every call (not stored)."""
+        return condition_windows(self.cond, self.w_past, self.w_future)
+
+    pre = property(lambda self: self.windows()[0], doc="window_pre at every step")
+    post = property(lambda self: self.windows()[1], doc="window_post at every step")
 
 
 def encode_sequence(grid, w_p=4, w_f=4):
     if grid.total_steps == 0:
         raise ValueError("empty grid")
+    if not all(type(w) is int and w >= 0 for w in (w_p, w_f)):
+        raise ValueError(f"window lengths must be non-negative ints, got {w_p!r}, {w_f!r}")
     targets = grid_words(grid)
     inputs = np.zeros_like(targets)
     inputs[1:] = targets[:-1]
-    cond = condition_matrix(grid)
-    pre, post = condition_windows(cond, w_p, w_f)
-    return EncodedSequence(inputs, targets, cond, pre, post)
+    return EncodedSequence(inputs, targets, condition_matrix(grid), w_p, w_f)
 
 
 def decode_words(words):

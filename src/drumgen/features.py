@@ -93,20 +93,15 @@ def bar_features(bar_grid):
     weak_ratio = weak / total_onsets if total_onsets else 0.0
 
     half = n // 2
-    if half:
-        symmetry = (grid[:half] == grid[n - half:]).mean()
-    else:
-        symmetry = 1.0
+    symmetry = (grid[:half] == grid[n - half:]).mean() if half else 1.0
 
     return np.array([density, *stream_density, sync, weak_ratio, symmetry])
 
 
 def bar_grids(grid):
     """Split a StepGrid's drum onsets into per-bar [steps x 9] slices."""
-    out = []
-    for start, n in zip(grid.bar_start, grid.steps_per_bar):
-        out.append(grid.drum_onsets[start:start + n])
-    return out
+    return [grid.drum_onsets[start:start + n]
+            for start, n in zip(grid.bar_start, grid.steps_per_bar)]
 
 
 def global_features(grid):
@@ -130,8 +125,7 @@ def write_features_csv(path, rows):
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(("piece", "group") + GLOBAL_FEATURE_NAMES)
-    for piece, group, vec in rows:
-        w.writerow([piece, group] + [repr(float(x)) for x in vec])
+    w.writerows([piece, group] + [repr(float(x)) for x in vec] for piece, group, vec in rows)
     atomic_write_text(path, buf.getvalue())
 
 

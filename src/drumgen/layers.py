@@ -96,10 +96,8 @@ def stacked_lstm_step(layers, x, state, dropout_rate, training, rng):
     inp = x
     for idx, layer in enumerate(layers):
         inp = dropout_apply(inp, dropout_rate, training, rng)
-        h_new, c_new = lstm_step(layer, inp, state[idx])
-        state[idx][0] = h_new
-        state[idx][1] = c_new
-        inp = h_new
+        state[idx][:] = lstm_step(layer, inp, state[idx])
+        inp = state[idx][0]
     return inp
 
 

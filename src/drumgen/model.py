@@ -26,7 +26,8 @@ from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
     dropout_apply, linear_rows, linear_rows_backward, \
     lstm_lanes_forward, lstm_lanes_backward, head_ce_lanes, lstm_cell_lanes, \
     softmax_rows_inplace, _gate_affine
-from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows
+from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows, \
+    check_cond, check_words
 from .ioutil import atomic_write_bytes
 # atomic_write_text is unused here but importable: perfbench/spans.py wraps
 # it under this module's name when it traces a run.
@@ -38,6 +39,17 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 GRAD_CLIP_NORM = 5.0
+
+
+def check_field_types(config):
+    """Raise ValueError, naming the field, unless each int field of the
+    dataclass config holds an int and each float field an int or float;
+    a bool is neither."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kinds, want = ((int,), "an int") if f.type is int else ((int, float), "a real number")
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{f.name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,7 @@ class ModelConfig:
     batch_size: int = 16
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.hidden, self.lstm_layers, self.seq_len, self.batch_size) < 1:
             raise ValueError("hidden, lstm_layers, seq_len, batch_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -107,12 +120,6 @@ def detach_state(state):
             for s, layers in state.items()}
 
 
-def one_hot(size, index):
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
-
-
 def forward_step(params, input_words, pre_vec, post_vec, state,
                  training=False, rng=None):
     """One time step; returns a probability row per stream.
@@ -128,7 +135,7 @@ def forward_step(params, input_words, pre_vec, post_vec, state,
                              rate, training, rng)
     probs = []
     for si, s in enumerate(STREAM_NAMES):
-        word = one_hot(VOCAB_SIZES[si], int(input_words[si]))
+        word = np.eye(VOCAB_SIZES[si])[int(input_words[si])]
         x = ad.concat([Tensor(word), pre_out])
         h_top = stacked_lstm_step(params.lstm_stacks[s], x, state[s],
                                   rate, training, rng)
@@ -152,9 +159,10 @@ def sequence_loss(params, seq, start=0, end=None, training=False, rng=None,
         raise ValueError("sequence slice must contain at least one step")
     if state is None:
         state = params.zero_state()
+    pre, post = seq.windows()
     total = None
     for t in range(start, end):
-        probs = forward_step(params, seq.inputs[t], seq.pre[t], seq.post[t],
+        probs = forward_step(params, seq.inputs[t], pre[t], post[t],
                              state, training, rng)
         step_loss = ad.cross_entropy(probs[0], int(seq.targets[t][0]))
         for si in (1, 2):
@@ -201,8 +209,9 @@ def _wave(params, slices, states, keeps):
 
     words = time_major([seq.inputs[a:b] for seq, a, b in slices], np.intp)
     targets = time_major([seq.targets[a:b] for seq, a, b in slices], np.intp)
-    pre = time_major([seq.pre[a:b] for seq, a, b in slices])
-    post = time_major([seq.post[a:b] for seq, a, b in slices])
+    windows = [[w[a:b] for w in seq.windows()] for seq, a, b in slices]
+    pre = time_major([p for p, _ in windows])
+    post = time_major([q for _, q in windows])
     weights = time_major([np.full((n, 1), 1.0 / n) for n in lengths]).ravel()
     mask = None if keeps[0] is None else time_major(keeps, bool)
     keep_scale = 1.0 / (1.0 - cfg.dropout)
@@ -528,24 +537,19 @@ def _slice_ranges(n, seq_len):
 
 
 def _check_piece(seq, config, index):
-    """Raise ValueError unless piece index has the shapes, word indices and
-    pre/post windows (prefix sums of cond) that config expects."""
+    """Raise ValueError unless piece index has words (encoding.check_words)
+    and cond (check_cond) of one length, and the windows of config."""
     steps = len(seq)
     if steps == 0:
         raise ValueError(f"piece {index} is empty")
-    if seq.cond.shape != (steps, COND_DIM) or \
-            seq.pre.shape != seq.cond.shape or seq.post.shape != seq.cond.shape:
-        raise ValueError(f"piece {index}: cond/pre/post must be [{steps} x {COND_DIM}]")
     for name in ("inputs", "targets"):
-        words = getattr(seq, name)
-        if words.shape != (steps, 3) or words.min() < 0 or \
-                np.any(words.max(axis=0) >= VOCAB_SIZES):
-            raise ValueError(f"piece {index}: {name} must be [{steps} x 3] word "
-                             f"indices inside the vocabularies {VOCAB_SIZES}")
-    pre, post = condition_windows(seq.cond, config.w_past, config.w_future)
-    # one-hot sums are exact integers, so exact comparison is safe
-    if not (np.array_equal(seq.pre, pre) and np.array_equal(seq.post, post)):
-        raise ValueError(f"piece {index}: pre/post windows do not match "
+        check_words(getattr(seq, name), f"words in piece {index}: {name}", steps)
+    if len(seq.inputs) != steps or len(check_cond(seq.cond, f"piece {index}: cond")) != steps:
+        raise ValueError(f"piece {index}: inputs, targets and cond must have {steps} rows")
+    if (seq.w_past, seq.w_future) != (config.w_past, config.w_future) or \
+            not all(type(w) is int for w in (seq.w_past, seq.w_future)):
+        raise ValueError(f"piece {index}: pre/post windows of w_past={seq.w_past}, "
+                         f"w_future={seq.w_future} do not match the config's "
                          f"w_past={config.w_past}, w_future={config.w_future}")
 
 
@@ -693,16 +697,13 @@ def _check_values(header, path):
         raise CheckpointError(f"malformed checkpoint {path}: rng_state is not a "
                               f"PCG64 state: {header['rng_state']!r}")
     config = header["config"]
-    if not isinstance(config, dict) or set(config) != _CONFIG_KEYS or any(
-            not (_is_count(config[f.name]) if f.type is int else _is_number(config[f.name]))
-            for f in fields(ModelConfig)):
+    if not isinstance(config, dict) or set(config) != _CONFIG_KEYS:
         raise CheckpointError(f"malformed checkpoint {path}: config must hold "
-                              f"ModelConfig's {sorted(_CONFIG_KEYS)} with their types, "
-                              f"got {config!r}")
+                              f"ModelConfig's {sorted(_CONFIG_KEYS)}, got {config!r}")
     try:
         return ModelConfig(**config)
     except ValueError as e:
-        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
+        raise CheckpointError(f"malformed checkpoint {path}: config: {e}") from e
 
 
 def save_checkpoint(ckpt, path):

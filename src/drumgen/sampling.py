@@ -5,9 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import (quantize_song, condition_matrix, grid_words,
-                       VOCAB_SIZES, COND_DIM)
-from .model import InferenceRun
+from .encoding import quantize_song, condition_matrix, grid_words, check_cond, check_words
+from .model import InferenceRun, check_field_types
 # The per-step tape path, kept importable here: perfbench/spans.py wraps
 # these names in this module when it traces a run.
 from .encoding import window_pre, window_post
@@ -23,6 +22,7 @@ class GenerationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         _check_temperature(self.temperature)
         if self.seed_steps < 1:
             raise ValueError("seed_steps must be >= 1")
@@ -74,28 +74,14 @@ def sample_categorical(p, rng):
 
 
 def _check_request(conditions, gen_config, seed_words):
-    """Raise ValueError unless the condition track is finite
-    [T x COND_DIM] and the seed words cover seed_steps <= T steps with
-    word indices inside the vocabularies. Returns (cond, the seed_steps
-    seed word rows)."""
-    cond = np.asarray(conditions.cond)
+    """(cond, the seed_steps seed word rows), checked by encoding.check_cond
+    and check_words; raises ValueError if seed_steps exceeds the track."""
+    cond = check_cond(conditions.cond, "condition track")
     seed_steps = gen_config.seed_steps
-    if cond.ndim != 2 or cond.shape[1] != COND_DIM:
-        raise ValueError(f"condition track must be [T x {COND_DIM}], "
-                         f"got shape {cond.shape}")
-    if not np.all(np.isfinite(cond)):
-        raise ValueError("condition track has non-finite values")
     if seed_steps > len(cond):
         raise ValueError(f"seed covers {seed_steps} steps but track has {len(cond)}")
-    seed = np.asarray(conditions.seed_words if seed_words is None else seed_words)
-    if seed.ndim != 2 or seed.shape[1] != 3 or len(seed) < seed_steps or \
-            not np.issubdtype(seed.dtype, np.integer):
-        raise ValueError(f"need [>= {seed_steps} x 3] integer seed words, "
-                         f"got shape {seed.shape} of {seed.dtype}")
-    seed = seed[:seed_steps]
-    if seed.min() < 0 or np.any(seed.max(axis=0) >= VOCAB_SIZES):
-        raise ValueError(f"seed words must lie inside the vocabularies {VOCAB_SIZES}")
-    return cond, seed
+    seed = conditions.seed_words if seed_words is None else seed_words
+    return cond, check_words(seed, "seed words", seed_steps)
 
 
 def generate(checkpoint, conditions, gen_config, seed_words=None):

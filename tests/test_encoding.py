@@ -228,6 +228,20 @@ def test_targets_shifted_one_step_from_inputs():
     assert len(seq) == 32
     npt.assert_array_equal(seq.inputs[0], [0, 0, 0])
     npt.assert_array_equal(seq.inputs[1:], seq.targets[:-1])
+    assert (seq.w_past, seq.w_future) == (4, 4)
+    for w_p, w_f in ((0, 8), (8, 0), (4, 4)):
+        other = encode_sequence(quantize_song(song), w_p, w_f)
+        npt.assert_array_equal(other.targets, seq.targets)
+        pre, post = other.pre, other.post
+        for t in range(len(other)):
+            npt.assert_array_equal(pre[t], window_pre(other.cond, t, w_p))
+            npt.assert_array_equal(post[t], window_post(other.cond, t, w_f))
+
+
+@pytest.mark.parametrize("w_p, w_f", [(-1, 4), (4, -2), (4.0, 4), (4, True)])
+def test_encode_sequence_rejects_bad_window_lengths(w_p, w_f):
+    with pytest.raises(ValueError, match="window lengths must be non-negative ints"):
+        encode_sequence(quantize_song(simple_song()), w_p, w_f)
 
 
 def test_song_json_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ from drumgen import layers as dl
 from drumgen import model as dm
 from drumgen.autodiff import Tape, backward, finite_diff_check
 from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES,
-                              encode_sequence, quantize_song)
+                              condition_windows, encode_sequence, quantize_song)
 from drumgen.model import (Checkpoint, ModelConfig, ModelParams, Optimizer,
                            adam_step, clip_global_norm, forward_step,
                            load_checkpoint, save_checkpoint, sequence_loss,
@@ -40,6 +41,19 @@ def test_default_config_matches_contract():
     assert COND_DIM == 31
     assert (cfg.learning_rate, cfg.seq_len, cfg.batch_size, dm.GRAD_CLIP_NORM) == \
         (1e-3, 64, 16, 5.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden", 2.5), ("hidden", True), ("w_past", 1.5), ("seq_len", 2.0),
+    ("batch_size", np.int64(2)), ("dropout", True), ("learning_rate", "0.1"),
+])
+def test_config_rejects_values_of_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        tiny_config(**{field: value})
+
+
+def test_config_takes_an_int_for_a_float_field():
+    assert tiny_config(dropout=0).dropout == 0
 
 
 def test_config_validation():
@@ -392,15 +406,46 @@ def test_train_raises_on_non_finite_values(tiny_corpus):
 def test_train_rejects_windows_of_other_lengths():
     cfg = SynthConfig(n_songs=1, bars_per_song=2, meters=((4, 4),), seed=17)
     seq = encode_sequence(quantize_song(synth_songs(STYLES["synthrock"], cfg)[0]), 8, 8)
-    with pytest.raises(ValueError, match="piece 0: pre/post windows .* w_past=4"):
-        train([seq], tiny_config(), epochs=1)
+    # 4.0 == 4, but it is no index
+    for bad in (seq, dataclasses.replace(seq, w_past=4.0, w_future=4)):
+        with pytest.raises(ValueError, match="piece 0: pre/post windows .* w_past=4"):
+            train([bad], tiny_config(), epochs=1)
 
 
 def test_train_rejects_non_finite_window(tiny_corpus):
-    bad = copy.deepcopy(tiny_corpus[1])
-    bad.pre[3, 0] = np.nan
-    with pytest.raises(ValueError, match="piece 1: pre/post windows"):
-        train([tiny_corpus[0], bad], tiny_config(), epochs=1)
+    # the windows are sums of cond, so a non-finite window comes from cond
+    for value in (np.nan, np.inf):
+        bad = copy.deepcopy(tiny_corpus[1])
+        bad.cond[3, 0] = value
+        with pytest.raises(ValueError, match="piece 1: cond has non-finite values"):
+            train([tiny_corpus[0], bad], tiny_config(), epochs=1)
+
+
+def test_piece_stores_no_windows(tiny_corpus):
+    seq = copy.deepcopy(tiny_corpus[0])
+    assert [f.name for f in dataclasses.fields(seq)] == \
+        ["inputs", "targets", "cond", "w_past", "w_future"]
+    with pytest.raises(AttributeError):
+        seq.pre = np.zeros_like(seq.cond)
+    seq.cond[5] = 0.0  # an edit of cond shows in the windows at once
+    npt.assert_array_equal(seq.pre, condition_windows(seq.cond, 4, 4)[0])
+    npt.assert_array_equal(seq.post, condition_windows(seq.cond, 4, 4)[1])
+
+
+@pytest.mark.parametrize("name", ["inputs", "targets"])
+def test_train_rejects_float_words(tiny_corpus, name):
+    bad = copy.deepcopy(tiny_corpus[0])
+    setattr(bad, name, getattr(bad, name) + 0.5)
+    with pytest.raises(ValueError, match=rf"integer words in piece 0: {name}, got .* float64"):
+        train([bad], tiny_config(), epochs=1)
+
+
+def test_train_rejects_words_and_cond_of_other_lengths(tiny_corpus):
+    for name in ("inputs", "cond"):
+        bad = copy.deepcopy(tiny_corpus[0])
+        setattr(bad, name, np.concatenate([getattr(bad, name)] * 2))
+        with pytest.raises(ValueError, match="piece 0: inputs, targets and cond must have"):
+            train([bad], tiny_config(), epochs=1)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])

@@ -61,6 +61,15 @@ def test_temperature_rejects_nonpositive():
         GenerationConfig(temperature=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed_steps", 2.5), ("seed_steps", True), ("rng_seed", 1.5), ("rng_seed", False),
+    ("temperature", True), ("temperature", "1.0"),
+])
+def test_generation_config_rejects_values_of_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        GenerationConfig(**{field: value})
+
+
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
 def test_temperature_rejects_non_finite(temperature):
     with pytest.raises(ValueError, match="finite"):
@@ -191,6 +200,7 @@ def _with_word(words, column, value):
 @pytest.mark.parametrize("case, match", [
     ("cond_width", r"condition track must be \[T x 31\]"),
     ("cond_vector", r"condition track must be \[T x 31\]"),
+    ("cond_complex", r"condition track must be \[T x 31\] real numbers"),
     ("cond_nan", "condition track has non-finite values"),
     ("cond_inf", "condition track has non-finite values"),
     ("seed_short", r"need \[>= 4 x 3\] integer seed words"),
@@ -209,6 +219,7 @@ def test_generate_rejects_bad_request(tiny_checkpoint, case, match):
     cond, seed = {
         "cond_width": (cond[:, :30], seed),
         "cond_vector": (cond[:, 0], seed),
+        "cond_complex": (cond + 0j, seed),
         "cond_nan": (nan_row, seed),
         "cond_inf": (inf_row, seed),
         "seed_short": (cond, seed[:3]),
