@@ -35,7 +35,7 @@ class Parameter(Tensor):
 
     def __init__(self, value, name=""):
         super().__init__(value, requires_grad=True)
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)  # unlike zeros_like, maps no page until written
         self.name = name
 
     def reset_grad(self):

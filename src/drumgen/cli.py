@@ -119,9 +119,9 @@ def _load_config_file(path, command):
     out = {}
     for key, value in cfg.items():
         opt = _BY_NAME[key]
-        want, json_type = {int: ("an integer", int),
-                           float: ("a number", (int, float))}.get(opt.type, ("a string", str))
-        if not isinstance(value, json_type) or isinstance(value, bool):
+        want = {int: "an integer", float: "a number"}.get(opt.type, "a string")
+        if not (dm_model.has_field_type(value, opt.type) if opt.type in (int, float)
+                else isinstance(value, str)):
             raise UsageError(f"--config {path}: {key} must be {want}, got {value!r}")
         try:
             out[key] = opt.type(value)
@@ -253,7 +253,7 @@ def cmd_inspect(args):
     losses = ckpt.loss_history
     print(f"loss: first {losses[0]:.6f}, min {min(losses):.6f}, last {losses[-1]:.6f}"
           if losses else "loss: none recorded")
-    for name, a in sorted(ckpt.tensors.items()):
+    for name, a in ckpt.tensors.items():
         print(f"norm {name}: {np.linalg.norm(a):.6g}")
     print("checksum OK")
     return 0
@@ -294,8 +294,7 @@ def _lane_gradient_error(params, seq, seed):
     batch = [(0, seq, 0, 3), (0, seq, 3, 6), (1, seq, 0, 2)]
     grads = []
     for path in (dm_model.lane_batch_backward, dm_model.tape_batch_backward):
-        for p in params.parameters():
-            p.reset_grad()
+        params.grads[...] = 0.0
         path(params, batch, {}, np.random.default_rng(seed))
         grads.append([p.grad.copy() for p in params.parameters()])
     return max(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), np.finfo(float).tiny)

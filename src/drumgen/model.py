@@ -33,7 +33,7 @@ from .ioutil import atomic_write_bytes
 # it under this module's name when it traces a run.
 from .ioutil import atomic_write_text
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -41,14 +41,19 @@ ADAM_EPS = 1e-8
 GRAD_CLIP_NORM = 5.0
 
 
+def has_field_type(value, kind):
+    """Whether value fits a field of type kind, int or float: an int
+    field takes an int, a float field an int or float; neither a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else int)
+
+
 def check_field_types(config):
-    """Raise ValueError, naming the field, unless each int field of the
-    dataclass config holds an int and each float field an int or float;
-    a bool is neither."""
+    """Raise ValueError, naming the field, unless each int or float field
+    of the dataclass config holds a value of its type (has_field_type)."""
     for f in fields(config):
         value = getattr(config, f.name)
-        kinds, want = ((int,), "an int") if f.type is int else ((int, float), "a real number")
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if not has_field_type(value, f.type):
+            want = "an int" if f.type is int else "a real number"
             raise ValueError(f"{f.name} must be {want}, got {value!r}")
 
 
@@ -83,7 +88,11 @@ class ModelParams:
     stacked LSTM (layer-1 input = vocab + hidden) plus a zero-initialized
     softmax head over [h_top, post-FF] of width 2*hidden. Without an rng
     nothing is drawn and the weights start at zero, for a layout whose
-    values are about to be overwritten."""
+    values are about to be overwritten.
+
+    values and grads are two flat float64 buffers holding every
+    parameter in name order, with the {name: shape} layout shapes; each
+    Parameter's .data and .grad are views into them."""
 
     def __init__(self, config, rng=None):
         h = config.hidden
@@ -100,6 +109,13 @@ class ModelParams:
                 in_dim = h
             self.lstm_stacks[s] = stack
             self.heads[s] = LinearLayer(vocab, 2 * h, name=f"{s}.head")
+        plist = sorted(self.parameters(), key=lambda p: p.name)
+        self.shapes = {p.name: p.data.shape for p in plist}
+        self.values = np.concatenate([p.data.ravel() for p in plist])
+        self.grads = np.zeros(self.values.shape)  # np.zeros maps its pages lazily
+        for p, data, grad in zip(plist, _views(self.values, self.shapes).values(),
+                                 _views(self.grads, self.shapes).values()):
+            p.data, p.grad = data, grad
 
     def parameters(self):
         out = self.pre_ff.parameters() + self.post_ff.parameters()
@@ -159,7 +175,7 @@ def sequence_loss(params, seq, start=0, end=None, training=False, rng=None,
         raise ValueError("sequence slice must contain at least one step")
     if state is None:
         state = params.zero_state()
-    pre, post = seq.windows()
+    pre, post = condition_windows(seq.cond, params.config.w_past, params.config.w_future)
     total = None
     for t in range(start, end):
         probs = forward_step(params, seq.inputs[t], pre[t], post[t],
@@ -209,7 +225,8 @@ def _wave(params, slices, states, keeps):
 
     words = time_major([seq.inputs[a:b] for seq, a, b in slices], np.intp)
     targets = time_major([seq.targets[a:b] for seq, a, b in slices], np.intp)
-    windows = [[w[a:b] for w in seq.windows()] for seq, a, b in slices]
+    windows = [[w[a:b] for w in condition_windows(seq.cond, cfg.w_past, cfg.w_future)]
+               for seq, a, b in slices]
     pre = time_major([p for p, _ in windows])
     post = time_major([q for _, q in windows])
     weights = time_major([np.full((n, 1), 1.0 / n) for n in lengths]).ravel()
@@ -339,14 +356,14 @@ class InferenceRun:
     plus bias. A step gathers layer 1's word column and runs the recurrent
     and upper-layer products, the gate math and the heads' h_top half, on
     single rows so that it shares the lane ops of training. ckpt is a
-    Checkpoint or Weights; the weights are views of its tensors, checked
+    Checkpoint or Weights; the weights are views of its values, checked
     against its config. Probabilities match forward_step up to float
     rounding.
     """
 
     def __init__(self, ckpt, cond):
         cfg = ckpt.config
-        _check_arrays("tensors", ckpt.tensors, param_shapes(cfg))
+        _check_buffers(ckpt, ("values",))
         w = ckpt.tensors
         h = cfg.hidden
         pre, post = condition_windows(cond, cfg.w_past, cfg.w_future)
@@ -402,42 +419,45 @@ def clip_global_norm(grads, max_norm):
     return total
 
 
-def adam_step(parameters, moments, lr, t):
-    """Bias-corrected Adam update consuming each parameter's .grad."""
+def adam_step(slots, lr, t):
+    """Bias-corrected Adam update, in place, of each (value, grad, m, v)
+    slot of four equal-shape arrays. One slot per parameter keeps the
+    temporaries parameter-sized."""
     if t < 1:
         raise ValueError("Adam step counter starts at 1")
-    for p in parameters:
-        m, v = moments[p.name]
+    for value, grad, m, v in slots:
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * p.grad
+        m += (1.0 - ADAM_BETA1) * grad
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * p.grad * p.grad
+        v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - ADAM_BETA1 ** t)
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Optimizer:
-    """Adam with global-norm gradient clipping, tracking its own step count."""
+    """Adam with global-norm gradient clipping, tracking its own step
+    count. Adam's moments m and v are flat buffers laid out as
+    params.values."""
 
     def __init__(self, params):
         self.params = params
         self.t = 0
-        self.moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data))
-                        for p in params.parameters()}
+        self.m = np.zeros(params.values.shape)
+        self.v = np.zeros(params.values.shape)
+        self._slots = list(zip(*(_views(buf, params.shapes).values() for buf in
+                                 (params.values, params.grads, self.m, self.v))))
 
     def step(self, grad_scale=1.0):
-        """Scale, clip and apply the accumulated gradients; returns the
-        global gradient norm before clipping."""
-        plist = self.params.parameters()
+        """Scale, clip and apply the accumulated gradients, then zero
+        them; returns the global gradient norm before clipping."""
+        grads = self.params.grads
         if grad_scale != 1.0:
-            for p in plist:
-                p.grad *= grad_scale
-        norm = clip_global_norm([p.grad for p in plist], GRAD_CLIP_NORM)
+            grads *= grad_scale
+        norm = clip_global_norm([p.grad for p in self.params.parameters()], GRAD_CLIP_NORM)
         self.t += 1
-        adam_step(plist, self.moments, self.params.config.learning_rate, self.t)
-        for p in plist:
-            p.reset_grad()
+        adam_step(self._slots, self.params.config.learning_rate, self.t)
+        grads[...] = 0.0
         return norm
 
 
@@ -448,85 +468,86 @@ class CheckpointError(Exception):
     pass
 
 
+class _FlatValues:
+    @property
+    def tensors(self):
+        """{name: view of values}, for each parameter in name order."""
+        return _views(self.values, param_shapes(self.config))
+
+
 @dataclass
-class Checkpoint:
+class Checkpoint(_FlatValues):
+    """A training state. values, m and v are flat float64 buffers laid
+    out as ModelParams.values: the parameters and Adam's two moments."""
     config: ModelConfig
     epoch: int
-    tensors: dict
-    moments: dict
+    values: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     adam_t: int
     rng_state: dict
     loss_history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
-class Weights:
+class Weights(_FlatValues):
     """A checkpoint's config and parameter values without its training
     state (load_weights): enough for generate, refused by train(resume=)."""
     config: ModelConfig
-    tensors: dict
+    values: np.ndarray
 
 
 def make_checkpoint(params, opt, rng, epoch, loss_history):
-    return Checkpoint(
-        config=params.config,
-        epoch=epoch,
-        tensors={p.name: p.data.copy() for p in params.parameters()},
-        moments={name: (m.copy(), v.copy()) for name, (m, v) in opt.moments.items()},
-        adam_t=opt.t,
-        rng_state=copy.deepcopy(rng.bit_generator.state),
-        loss_history=list(loss_history),
-    )
-
-
-def _check_arrays(what, arrays, expected):
-    """Raise CheckpointError unless arrays has exactly the names of
-    expected ({name: shape}) with those shapes."""
-    missing = sorted(set(expected) - set(arrays))
-    extra = sorted(set(arrays) - set(expected))
-    if missing or extra:
-        raise CheckpointError(f"checkpoint {what} do not match its config: "
-                              f"missing {missing}, unexpected {extra}")
-    for name, shape in expected.items():
-        if np.shape(arrays[name]) != shape:
-            raise CheckpointError(f"checkpoint {what} {name!r} has shape "
-                                  f"{np.shape(arrays[name])}, its config needs {shape}")
+    """A Checkpoint that shares the buffers of params and opt."""
+    return Checkpoint(params.config, epoch, params.values, opt.m, opt.v, opt.t,
+                      copy.deepcopy(rng.bit_generator.state), list(loss_history))
 
 
 @functools.lru_cache(maxsize=None)
 def param_shapes(config):
-    """Read-only {name: shape} of every parameter of a ModelParams(config),
-    taken from one built without draws and kept per config."""
-    return types.MappingProxyType(
-        {p.name: p.data.shape for p in ModelParams(config).parameters()})
+    """Read-only ModelParams(config).shapes, the layout of its flat
+    buffers; taken from one built without draws and kept per config."""
+    return types.MappingProxyType(ModelParams(config).shapes)
+
+
+def _views(buf, shapes):
+    """{name: view of buf} for shapes {name: shape}, laid out one after
+    another in shapes' order."""
+    out, a = {}, 0
+    for name, shape in shapes.items():
+        b = a + math.prod(shape)
+        out[name] = buf[a:b].reshape(shape)
+        a = b
+    return out
+
+
+def _check_buffers(ckpt, names):
+    """Raise CheckpointError unless each named buffer of ckpt is a
+    contiguous float64 vector of its config's parameter count."""
+    n = sum(math.prod(shape) for shape in param_shapes(ckpt.config).values())
+    for name in names:
+        buf = getattr(ckpt, name)
+        if not (isinstance(buf, np.ndarray) and buf.dtype == _FLOAT and buf.shape == (n,)
+                and buf.flags.c_contiguous):
+            raise CheckpointError(f"checkpoint {name} must be a contiguous float64 vector "
+                                  f"of length {n} for its config, got "
+                                  f"{getattr(buf, 'dtype', type(buf))} of shape {np.shape(buf)}")
 
 
 def params_from_checkpoint(ckpt):
-    _check_arrays("tensors", ckpt.tensors, param_shapes(ckpt.config))
+    _check_buffers(ckpt, ("values",))
     params = ModelParams(ckpt.config)
-    for p in params.parameters():
-        p.data[...] = ckpt.tensors[p.name]
+    params.values[...] = ckpt.values
     return params
 
 
-def _check_training_arrays(ckpt):
-    """Raise CheckpointError unless ckpt's tensors and both moments have
-    its config's names and shapes."""
-    shapes = param_shapes(ckpt.config)
-    _check_arrays("tensors", ckpt.tensors, shapes)
-    for k, what in enumerate(("first moments", "second moments")):
-        _check_arrays(what, {n: mv[k] for n, mv in ckpt.moments.items()}, shapes)
-
-
 def _restore_training(ckpt):
-    _check_training_arrays(ckpt)
+    _check_buffers(ckpt, ("values", "m", "v"))
     params = params_from_checkpoint(ckpt)
     opt = Optimizer(params)
     opt.t = ckpt.adam_t
-    for name, (m, v) in ckpt.moments.items():
-        om, ov = opt.moments[name]
-        om[...] = m
-        ov[...] = v
+    opt.m[...] = ckpt.m
+    opt.v[...] = ckpt.v
     rng = np.random.default_rng(0)
     rng.bit_generator.state = copy.deepcopy(ckpt.rng_state)
     return params, opt, rng
@@ -561,7 +582,8 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     state persists across a piece's slices, resets between pieces), and
     take one clipped Adam step per batch_size slices on the averaged
     gradients. Each batch runs as lanes (lane_batch_backward). Returns
-    checkpoints at each snapshot epoch plus the final epoch. resume must
+    checkpoints at each snapshot epoch, which copy the training buffers,
+    plus the final epoch, which holds them without a copy. resume must
     be a Checkpoint (load_checkpoint, not load_weights), and config None
     or equal to its config. Raises FloatingPointError on a non-finite
     batch loss or gradient norm.
@@ -590,7 +612,7 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         _check_piece(seq, config, index)
 
     checkpoints = []
-    snaps = {e for e in snapshot_epochs if start_epoch < e <= epochs}
+    snaps = {e for e in snapshot_epochs if start_epoch < e < epochs}
     for epoch in range(start_epoch + 1, epochs + 1):
         order = rng.permutation(len(corpus))
         slices = [(int(pi), corpus[pi], a, b) for pi in order
@@ -614,14 +636,14 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         if log_every and epoch % log_every == 0:
             print(f"epoch {epoch}: per-step loss {loss_history[-1]:.4f}")
         if epoch in snaps:
-            checkpoints.append(make_checkpoint(params, opt, rng, epoch, loss_history))
-    if not checkpoints or checkpoints[-1].epoch != epochs:
-        checkpoints.append(make_checkpoint(params, opt, rng, epochs, loss_history))
+            snapshot = make_checkpoint(params, opt, rng, epoch, loss_history)
+            checkpoints.append(copy.deepcopy(snapshot))
+    checkpoints.append(make_checkpoint(params, opt, rng, epochs, loss_history))
     return checkpoints
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint files, version 4: the .npy idea (NumPy NEP 1), a
+# Checkpoint files, version 5: the .npy idea (NumPy NEP 1), a
 # self-describing header followed by raw array data. The file is
 #   _MAGIC, the header's length in bytes (<u8),
 #   the header: canonical JSON (_canonical) of version, config, epoch,
@@ -629,14 +651,17 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
 #     and byte offset, in name order), sections (each section's length
 #     and sha256) and header_sha256 (the sha256 of the header's canonical
 #     JSON without that field),
-#   the tensors section: each tensor's <f8 data in name order,
-#   the moments section: each tensor's Adam m, then v, in name order.
+#   the tensors section: the <f8 values buffer (the parameters in name
+#     order),
+#   the moments section: all of Adam's m, then all of v, laid out as the
+#     values.
 
 _MAGIC = b"\x93DRUMGEN"
 _PREFIX = struct.Struct("<8sQ")
 _FLOAT = np.dtype("<f8")
-_HEADER_KEYS = frozenset({"version", "config", "epoch", "adam_t", "rng_state",
-                          "loss_history", "layout", "sections", "header_sha256"})
+_STATE_KEYS = ("epoch", "adam_t", "rng_state", "loss_history")
+_HEADER_KEYS = frozenset({"version", "config", *_STATE_KEYS, "layout", "sections",
+                          "header_sha256"})
 _CONFIG_KEYS = frozenset(f.name for f in fields(ModelConfig))
 _SECTIONS = ("tensors", "moments")
 _PCG64_KEYS = frozenset({"bit_generator", "state", "has_uint32", "uinteger"})
@@ -650,7 +675,7 @@ def _canonical(doc):
 def _layout(config):
     """The layout of config's tensors section, and its length in bytes."""
     layout, offset = [], 0
-    for name, shape in sorted(param_shapes(config).items()):
+    for name, shape in param_shapes(config).items():
         layout.append({"name": name, "shape": list(shape), "offset": offset})
         offset += _FLOAT.itemsize * math.prod(shape)
     return layout, offset
@@ -668,8 +693,7 @@ def _is_count(value):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    return has_field_type(value, float) and math.isfinite(value)
 
 
 def _is_pcg64_state(state):
@@ -707,33 +731,25 @@ def _check_values(header, path):
 
 
 def save_checkpoint(ckpt, path):
-    """Write ckpt to path in the version-4 layout, atomically. The
-    arrays' memory is written as it is, without an intermediate copy."""
+    """Write ckpt to path in the version-5 layout, atomically. The
+    buffers' memory is written as it is, without an intermediate copy."""
     config = ckpt.config
-    _check_training_arrays(ckpt)
-    names = sorted(ckpt.tensors)
-    tensors = [np.ascontiguousarray(ckpt.tensors[n], dtype=_FLOAT) for n in names]
-    moments = [np.ascontiguousarray(a, dtype=_FLOAT) for n in names for a in ckpt.moments[n]]
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(config),
-        "epoch": ckpt.epoch,
-        "adam_t": ckpt.adam_t,
-        "rng_state": ckpt.rng_state,
-        "loss_history": ckpt.loss_history,
-        "layout": _layout(config)[0],
-        "sections": {"tensors": _section(tensors), "moments": _section(moments)},
-    }
+    _check_buffers(ckpt, ("values", "m", "v"))
+    header = {"version": CHECKPOINT_VERSION, "config": asdict(config),
+              **{k: getattr(ckpt, k) for k in _STATE_KEYS}, "layout": _layout(config)[0],
+              "sections": {"tensors": _section([ckpt.values]),
+                           "moments": _section([ckpt.m, ckpt.v])}}
     _check_values(header, path)
     header["header_sha256"] = hashlib.sha256(_canonical(header)).hexdigest()
     text = _canonical(header)
-    atomic_write_bytes(path, [_PREFIX.pack(_MAGIC, len(text)), text, *tensors, *moments])
+    atomic_write_bytes(path, [_PREFIX.pack(_MAGIC, len(text)), text,
+                              ckpt.values, ckpt.m, ckpt.v])
 
 
 def _read_header(fh, path):
     """Read and verify the prefix and header of an open checkpoint file,
-    leaving fh at the tensors section. Returns (header, config, layout,
-    tensors section length)."""
+    leaving fh at the tensors section. Returns (header, config, tensors
+    section length)."""
     prefix = fh.read(_PREFIX.size)
     if prefix.startswith(b"{"):
         raise CheckpointError(
@@ -788,7 +804,7 @@ def _read_header(fh, path):
     if size != _PREFIX.size + n + 3 * length:
         raise CheckpointError(f"truncated or extended checkpoint {path}: {size} bytes, "
                               f"its header needs {_PREFIX.size + n + 3 * length}")
-    return header, config, layout, length
+    return header, config, length
 
 
 def _read_section(fh, path, header, name, length):
@@ -807,28 +823,15 @@ def _read_section(fh, path, header, name, length):
     return buf
 
 
-def _views(buf, layout, step=1):
-    """Each layout entry's array as views of buf; with step 2, (m, v)
-    pairs as the moments section stores them."""
-    out = {}
-    for e in layout:
-        a = step * e["offset"] // _FLOAT.itemsize
-        size = math.prod(e["shape"])
-        arrays = [buf[a + k * size:a + (k + 1) * size].reshape(e["shape"])
-                  for k in range(step)]
-        out[e["name"]] = arrays[0] if step == 1 else tuple(arrays)
-    return out
-
-
 def load_weights(path):
-    """The config and tensors of a checkpoint file, for inference. Reads
+    """The config and values of a checkpoint file, for inference. Reads
     the header and the tensors section and verifies both digests; the
     moments section is neither read nor verified. Raises CheckpointError,
     naming the path, as load_checkpoint does for those parts."""
     with open(path, "rb") as fh:
-        header, config, layout, length = _read_header(fh, path)
-        tensors = _read_section(fh, path, header, "tensors", length)
-    return Weights(config, _views(tensors, layout))
+        header, config, length = _read_header(fh, path)
+        values = _read_section(fh, path, header, "tensors", length)
+    return Weights(config, values)
 
 
 def load_checkpoint(path):
@@ -839,15 +842,8 @@ def load_checkpoint(path):
     layout does not match its config, a digest that does not match, or
     a file of the wrong length."""
     with open(path, "rb") as fh:
-        header, config, layout, length = _read_header(fh, path)
-        tensors = _read_section(fh, path, header, "tensors", length)
+        header, config, length = _read_header(fh, path)
+        values = _read_section(fh, path, header, "tensors", length)
         moments = _read_section(fh, path, header, "moments", 2 * length)
-    return Checkpoint(
-        config=config,
-        epoch=header["epoch"],
-        tensors=_views(tensors, layout),
-        moments=_views(moments, layout, step=2),
-        adam_t=header["adam_t"],
-        rng_state=header["rng_state"],
-        loss_history=header["loss_history"],
-    )
+    return Checkpoint(config=config, values=values, m=moments[:len(values)],
+                      v=moments[len(values):], **{k: header[k] for k in _STATE_KEYS})

@@ -5,6 +5,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -25,23 +26,20 @@ SPECIAL_BITS = [0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
 
 
 def random_checkpoint(config, seed, specials=(), epoch=3, adam_t=7, losses=(6.2, 5.9)):
-    """A checkpoint of config's layout whose tensors and moments hold
+    """A checkpoint of config's layout whose values and moments hold
     random float64 bit patterns, with the given bit patterns spliced in
     at random places."""
     rng = np.random.default_rng(seed)
+    n = sum(math.prod(s) for s in dm.param_shapes(config).values())
 
-    def bits(shape):
-        n = int(np.prod(shape))
+    def bits():
         a = np.frombuffer(rng.bytes(8 * n), dtype=np.uint64).copy()
         for b in specials:
             a[rng.integers(n)] = b
-        return a.view(np.float64).reshape(shape)
+        return a.view(np.float64)
 
-    shapes = dm.param_shapes(config)
     return Checkpoint(
-        config=config, epoch=epoch,
-        tensors={k: bits(s) for k, s in shapes.items()},
-        moments={k: (bits(s), bits(s)) for k, s in shapes.items()},
+        config=config, epoch=epoch, values=bits(), m=bits(), v=bits(),
         adam_t=adam_t,
         rng_state=np.random.default_rng(seed).bit_generator.state,
         loss_history=list(losses))
@@ -71,14 +69,13 @@ def test_roundtrip_is_bit_exact_for_any_bit_pattern(hidden, layers, seed, specia
     assert (loaded.epoch, loaded.adam_t) == (epoch, adam_t)
     assert loaded.rng_state == ckpt.rng_state
     assert loaded.loss_history == ckpt.loss_history
-    assert loaded.tensors.keys() == weights.tensors.keys() == ckpt.tensors.keys()
+    for name in ("values", "m", "v"):
+        assert_bits_equal(getattr(loaded, name), getattr(ckpt, name))
+    assert_bits_equal(weights.values, ckpt.values)
+    assert list(loaded.tensors) == list(weights.tensors) == list(dm.param_shapes(config))
     for name, a in ckpt.tensors.items():
         assert_bits_equal(loaded.tensors[name], a)
         assert_bits_equal(weights.tensors[name], a)
-    assert loaded.moments.keys() == ckpt.moments.keys()
-    for name, (m, v) in ckpt.moments.items():
-        assert_bits_equal(loaded.moments[name][0], m)
-        assert_bits_equal(loaded.moments[name][1], v)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +94,13 @@ def saved(tmp_path):
 
 def test_loaded_arrays_are_aligned_and_writable(saved):
     ckpt = load_checkpoint(saved)
-    arrays = [*ckpt.tensors.values(), *(a for mv in ckpt.moments.values() for a in mv)]
+    arrays = [ckpt.values, ckpt.m, ckpt.v, *ckpt.tensors.values()]
     assert all(a.flags.aligned and a.flags.writeable for a in arrays)
 
 
 def test_weights_hold_config_and_tensors_only(saved):
     weights = load_weights(saved)
-    assert [f.name for f in dataclasses.fields(weights)] == ["config", "tensors"]
+    assert [f.name for f in dataclasses.fields(weights)] == ["config", "values"]
 
 
 def read_parts(path):
@@ -224,6 +221,7 @@ def test_version_3_json_checkpoint_rejected_with_retrain_message(tmp_path):
     base64 float64 arrays. Only the first byte is read, so a document cut
     short gets the same message."""
     ckpt = random_checkpoint(ModelConfig(hidden=2, lstm_layers=1), seed=3)
+    ms, vs = (dataclasses.replace(ckpt, values=buf).tensors for buf in (ckpt.m, ckpt.v))
 
     def encode(a):
         return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode()}
@@ -231,7 +229,7 @@ def test_version_3_json_checkpoint_rejected_with_retrain_message(tmp_path):
     doc = {"version": 3, "config": dataclasses.asdict(ckpt.config), "epoch": ckpt.epoch,
            "adam_t": ckpt.adam_t, "rng_state": ckpt.rng_state,
            "tensors": {k: encode(a) for k, a in ckpt.tensors.items()},
-           "moments": {k: [encode(m), encode(v)] for k, (m, v) in ckpt.moments.items()},
+           "moments": {k: [encode(ms[k]), encode(vs[k])] for k in ckpt.tensors},
            "loss_history": ckpt.loss_history, "checksum": "0" * 64}
     text = json.dumps(doc, sort_keys=True)
     for name, content in (("v3.json", text), ("cut.json", text[:100])):
@@ -240,7 +238,7 @@ def test_version_3_json_checkpoint_rejected_with_retrain_message(tmp_path):
         for load in (load_checkpoint, load_weights):
             with pytest.raises(CheckpointError,
                                match=f"{name} is a JSON checkpoint of version 3 or older.*"
-                                     f"retrain to write a version-4 checkpoint"):
+                                     f"retrain to write a version-5 checkpoint"):
                 load(path)
 
 
@@ -277,8 +275,9 @@ def test_wrong_version_or_length_rejected(saved):
     write_parts(saved, text, tensors, moments, length=len(text) - 1)
     with pytest.raises(CheckpointError, match="header is not UTF-8 JSON"):
         load_checkpoint(saved)
-    write_resigned(saved, dict(header, version=5), tensors, moments)
-    with pytest.raises(CheckpointError, match="ckpt.json has version 5, unsupported"):
+    # version 4 had this layout with per-parameter (m, v) pairs; no reader is kept
+    write_resigned(saved, dict(header, version=4), tensors, moments)
+    with pytest.raises(CheckpointError, match="ckpt.json has version 4, unsupported"):
         load_checkpoint(saved)
 
 

@@ -5,13 +5,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from drumgen import autodiff as ad
 from drumgen import layers as dl
 from drumgen import model as dm
 from drumgen.autodiff import Tape, backward, finite_diff_check
 from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES,
                               condition_windows, encode_sequence, quantize_song)
-from drumgen.model import (Checkpoint, ModelConfig, ModelParams, Optimizer,
+from drumgen.model import (ModelConfig, ModelParams, Optimizer,
                            adam_step, clip_global_norm, forward_step,
                            load_checkpoint, save_checkpoint, sequence_loss,
                            train)
@@ -200,30 +199,27 @@ def test_clip_global_norm():
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = ad.Parameter(np.array([1.0, -2.0]), name="p")
-    moments = {"p": (np.zeros(2), np.zeros(2))}
-    adam_step([p], moments, lr=0.1, t=1)
-    npt.assert_array_equal(p.data, [1.0, -2.0])
+    value = np.array([1.0, -2.0])
+    adam_step([(value, np.zeros(2), np.zeros(2), np.zeros(2))], lr=0.1, t=1)
+    npt.assert_array_equal(value, [1.0, -2.0])
 
 
 def test_adam_moments_decay_on_zero_gradient():
-    p = ad.Parameter(np.array([1.0]), name="p")
-    moments = {"p": (np.array([0.4]), np.array([0.9]))}
-    adam_step([p], moments, lr=0.0, t=1)
-    npt.assert_allclose(moments["p"][0], [0.4 * 0.9])
-    npt.assert_allclose(moments["p"][1], [0.9 * 0.999])
+    m, v = np.array([0.4]), np.array([0.9])
+    adam_step([(np.array([1.0]), np.zeros(1), m, v)], lr=0.0, t=1)
+    npt.assert_allclose(m, [0.4 * 0.9])
+    npt.assert_allclose(v, [0.9 * 0.999])
 
 
 def test_adam_constant_gradient_converges_to_lr_step():
-    p = ad.Parameter(np.array([0.0]), name="p")
-    moments = {"p": (np.zeros(1), np.zeros(1))}
+    value = np.array([0.0])
+    slot = (value, np.array([3.0]), np.zeros(1), np.zeros(1))
     lr = 1e-2
-    prev = p.data.copy()
+    prev = value.copy()
     for t in range(1, 400):
-        p.grad[...] = 3.0
-        adam_step([p], moments, lr, t)
-        step = prev - p.data
-        prev = p.data.copy()
+        adam_step([slot], lr, t)
+        step = prev - value
+        prev = value.copy()
     npt.assert_allclose(step, [lr], rtol=1e-3)  # magnitude -> lr, sign following
 
 
@@ -264,11 +260,8 @@ def test_checkpoint_roundtrip_bit_exact(tiny_corpus, tmp_path):
     assert loaded.config == ckpt.config
     assert loaded.rng_state == ckpt.rng_state
     assert loaded.loss_history == ckpt.loss_history
-    for name, arr in ckpt.tensors.items():
-        npt.assert_array_equal(loaded.tensors[name], arr)
-    for name, (m, v) in ckpt.moments.items():
-        npt.assert_array_equal(loaded.moments[name][0], m)
-        npt.assert_array_equal(loaded.moments[name][1], v)
+    for name in ("values", "m", "v"):
+        npt.assert_array_equal(getattr(loaded, name), getattr(ckpt, name))
 
 
 def test_resume_matches_uninterrupted_training(tiny_corpus, tmp_path):
@@ -318,7 +311,7 @@ def test_checkpoint_version_mismatch(tiny_corpus, tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
     raw = path.read_bytes()
-    path.write_bytes(raw.replace(b'"version":4', b'"version":9', 1))
+    path.write_bytes(raw.replace(b'"version":5', b'"version":9', 1))
     with pytest.raises(dm.CheckpointError, match="version 9"):
         load_checkpoint(path)
 
@@ -342,8 +335,7 @@ def run_batch(fn, params, batch, carry, seed):
     rng = np.random.default_rng(seed)
     losses, states = fn(params, batch, carry, rng)
     grads = {p.name: p.grad.copy() for p in params.parameters()}
-    for p in params.parameters():
-        p.reset_grad()
+    params.grads[...] = 0.0
     return losses, states, grads, rng.bit_generator.state
 
 
@@ -456,17 +448,86 @@ def test_param_shapes_match_model_params(layers):
 
 
 def test_checkpoint_tensor_of_wrong_shape_rejected(tiny_corpus):
+    """values of the wrong dtype: the message names the buffer and the
+    length its config needs."""
     ckpt = train(tiny_corpus, tiny_config(), epochs=0, snapshot_epochs=(), seed=18)[-1]
-    ckpt.tensors["K.lstm1.bias"] = np.zeros(1)
-    with pytest.raises(dm.CheckpointError, match="K.lstm1.bias.*shape"):
+    n = ckpt.values.size
+    ckpt.values = ckpt.values.astype(np.float32)
+    with pytest.raises(dm.CheckpointError, match=rf"checkpoint values .* length {n} .*float32"):
         dm.params_from_checkpoint(ckpt)
 
 
 def test_checkpoint_missing_tensor_rejected(tiny_corpus):
+    """values one number short, as if the last parameter lost an entry."""
     ckpt = train(tiny_corpus, tiny_config(), epochs=0, snapshot_epochs=(), seed=18)[-1]
-    del ckpt.tensors["K.head.b"]
-    with pytest.raises(dm.CheckpointError, match="missing \\['K.head.b'\\]"):
+    n = ckpt.values.size
+    ckpt.values = ckpt.values[:-1]
+    with pytest.raises(dm.CheckpointError, match=rf"values .* length {n} .*\({n - 1},\)"):
         dm.params_from_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("name", ["m", "v"])
+def test_checkpoint_moment_of_wrong_length_or_dtype_rejected(tiny_corpus, tmp_path, name):
+    """Resume and save both check each moment buffer: its length, dtype
+    and contiguity (save writes its memory as it is)."""
+    ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=18)[-1]
+    n = ckpt.values.size
+    for bad in (np.zeros(n + 1), np.zeros(n, np.float32), np.zeros(2 * n)[::2]):
+        broken = dataclasses.replace(ckpt, **{name: bad})
+        with pytest.raises(dm.CheckpointError, match=rf"checkpoint {name} .* length {n} "):
+            train(tiny_corpus, None, epochs=2, snapshot_epochs=(), resume=broken)
+        with pytest.raises(dm.CheckpointError, match=rf"checkpoint {name} .* length {n} "):
+            save_checkpoint(broken, tmp_path / "ckpt.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# Flat buffers
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_parameters_are_views_of_the_flat_buffers(layers):
+    params = ModelParams(tiny_config(lstm_layers=layers), np.random.default_rng(0))
+    by_name = {p.name: p for p in params.parameters()}
+    offset = 0
+    for name, shape in dm.param_shapes(params.config).items():
+        p = by_name.pop(name)
+        for view, buf in ((p.data, params.values), (p.grad, params.grads)):
+            assert view.shape == shape
+            assert np.shares_memory(view, buf)
+            assert view.ctypes.data == buf.ctypes.data + view.itemsize * offset
+        offset += p.data.size
+    assert by_name == {} and params.values.shape == params.grads.shape == (offset,)
+
+
+def test_snapshot_equals_the_final_checkpoint_of_a_shorter_run(tiny_corpus):
+    """A snapshot copies the buffers that training goes on updating."""
+    snap = train(tiny_corpus, tiny_config(), epochs=2, snapshot_epochs=(1,), seed=19)[0]
+    one = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=19)[-1]
+    for name in ("values", "m", "v"):
+        npt.assert_array_equal(getattr(snap, name).view(np.uint64),
+                               getattr(one, name).view(np.uint64))
+    assert (snap.epoch, snap.adam_t) == (one.epoch, one.adam_t)
+    assert snap.loss_history == one.loss_history and snap.rng_state == one.rng_state
+
+
+def test_model_reads_the_windows_of_its_config():
+    """The piece's own w_past/w_future do not reach the model: under a
+    (4, 4) model one song encoded with (4, 4) and with (8, 0) gives equal
+    losses and gradients."""
+    cfg = SynthConfig(n_songs=1, bars_per_song=2, meters=((4, 4),), seed=17)
+    grid = quantize_song(synth_songs(STYLES["synthrock"], cfg)[0])
+    params = ModelParams(tiny_config(), np.random.default_rng(20))
+    randomized_heads(params, 21)
+    runs = []
+    for windows in ((4, 4), (8, 0)):
+        seq = encode_sequence(grid, *windows)
+        loss, _ = sequence_loss(params, seq, 0, 16)
+        losses, _, grads, _ = run_batch(dm.lane_batch_backward, params,
+                                        [(0, seq, 0, 8)], {}, 22)
+        runs.append((float(loss.data), losses, grads))
+    assert runs[0][:2] == runs[1][:2]
+    for name, g in runs[0][2].items():
+        npt.assert_array_equal(runs[1][2][name], g)
 
 
 def test_train_rejects_word_outside_vocabulary(tiny_corpus):

@@ -9,7 +9,7 @@ from drumgen.encoding import (VOCAB_SIZES, encode_sequence, quantize_song,
                               window_post, window_pre)
 from drumgen.model import (CheckpointError, InferenceRun, ModelConfig,
                            forward_step, load_weights, params_from_checkpoint,
-                           save_checkpoint, train)
+                           Weights, save_checkpoint, train)
 from drumgen.sampling import (GenerationConfig, condition_track_from_song,
                               generate, sample_categorical, temperature_adjust)
 from drumgen.synth import STYLES, SynthConfig, synth_song, synth_songs
@@ -242,11 +242,14 @@ def test_seed_words_past_seed_steps_are_not_checked(tiny_checkpoint):
 
 
 def test_generate_rejects_checkpoint_of_wrong_shape(tiny_checkpoint):
-    ckpt = dataclasses.replace(tiny_checkpoint, tensors=dict(tiny_checkpoint.tensors))
-    ckpt.tensors["T.head.W"] = ckpt.tensors["T.head.W"][:, :-1]
+    """values short by one column of T.head.W, in a Checkpoint or Weights."""
+    n = tiny_checkpoint.values.size
+    short = tiny_checkpoint.values[:n - len(tiny_checkpoint.tensors["T.head.W"])]
     track = condition_track_from_song(eval_song())
-    with pytest.raises(CheckpointError, match="T.head.W"):
-        generate(ckpt, track, GenerationConfig(seed_steps=4))
+    for ckpt in (dataclasses.replace(tiny_checkpoint, values=short),
+                 Weights(tiny_checkpoint.config, short)):
+        with pytest.raises(CheckpointError, match=rf"checkpoint values .* length {n} "):
+            generate(ckpt, track, GenerationConfig(seed_steps=4))
 
 
 # ---------------------------------------------------------------------------
