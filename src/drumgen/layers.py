@@ -127,44 +127,49 @@ def _gate_affine(n):
     return scale, shift
 
 
-def lstm_lanes_forward(layer, x, h0, c0):
-    """One LSTM layer over T steps of B independent lanes.
+def lstm_lanes_forward(layers, xs, h0, c0):
+    """One LSTM layer of each of S streams over T steps of B lanes.
 
-    x is [T, B, in], h0 and c0 are [B, hidden]. Wx x + bias is one GEMM
-    over all T*B rows; only Wh h and the gate math run per step. Returns
-    (hs, cs, cache): hs and cs are [T+1, B, hidden], row 0 the initial
-    state; cache feeds lstm_lanes_backward.
+    layers are the streams' LSTMLayers of one hidden size, xs their inputs
+    [T, B, in_s], h0 and c0 [S, B, hidden]. Per stream, Wx x + bias is one
+    GEMM over all T*B rows and Wh h one product per step; the gate math
+    runs once per step for the group. Returns (hs, cs, cache): hs and cs
+    are [S, T+1, B, hidden], step 0 the initial state; cache feeds
+    lstm_lanes_backward.
     """
-    steps, lanes, _ = x.shape
-    n = layer.hidden
-    gates = (x.reshape(steps * lanes, -1) @ layer.Wx.data.T).reshape(steps, lanes, 4 * n)
-    gates += layer.bias.data
+    steps, lanes, _ = xs[0].shape
+    n = layers[0].hidden
+    gates = np.empty((len(layers), steps, lanes, 4 * n))
+    for layer, x, z in zip(layers, xs, gates):
+        np.matmul(x.reshape(steps * lanes, -1), layer.Wx.data.T, out=z.reshape(steps * lanes, -1))
+        z += layer.bias.data
     scale, shift = _gate_affine(n)
-    hs = np.empty((steps + 1, lanes, n))
-    cs = np.empty((steps + 1, lanes, n))
-    hs[0] = h0
-    cs[0] = c0
-    wh_t = layer.Wh.data.T
+    hs, cs = np.empty((2, len(layers), steps + 1, lanes, n))
+    hs[:, 0], cs[:, 0] = h0, c0
+    rec = np.empty((len(layers), lanes, 4 * n))
     for t in range(steps):
-        z = gates[t]
-        z += hs[t] @ wh_t
-        lstm_cell_lanes(z, cs[t], scale, shift, cs[t + 1], hs[t + 1])
-    return hs, cs, (x, gates, hs, cs)
+        for layer, h, r in zip(layers, hs[:, t], rec):
+            np.matmul(h, layer.Wh.data.T, out=r)
+        z = gates[:, t]
+        z += rec
+        lstm_cell_lanes(z, cs[:, t], scale, shift, cs[:, t + 1], hs[:, t + 1])
+    return hs, cs, (xs, gates, hs, cs)
 
 
 def lstm_cell_lanes(z, c_prev, scale, shift, c_out, h_out):
-    """Gate math of one step for B lanes: turns the pre-activations z
-    [B, 4*hidden] into the gate activations in place and writes the new
-    cell and hidden state into c_out and h_out (c_out may be c_prev)."""
-    n = c_prev.shape[1]
+    """Gate math of one step for S streams of B lanes: turns the
+    pre-activations z [S, B, 4*hidden] into the gate activations in place
+    and writes the new cell and hidden state into c_out and h_out
+    [S, B, hidden] (c_out may be c_prev)."""
+    n = c_prev.shape[-1]
     z *= scale
     np.tanh(z, out=z)
     z *= scale
     z += shift
-    np.multiply(z[:, n:2 * n], c_prev, out=c_out)
-    c_out += z[:, :n] * z[:, 2 * n:3 * n]
+    np.multiply(z[..., n:2 * n], c_prev, out=c_out)
+    c_out += z[..., :n] * z[..., 2 * n:3 * n]
     np.tanh(c_out, out=h_out)
-    h_out *= z[:, 3 * n:]
+    h_out *= z[..., 3 * n:]
 
 
 def softmax_rows_inplace(logits):
@@ -175,42 +180,42 @@ def softmax_rows_inplace(logits):
     return logits
 
 
-def lstm_lanes_backward(layer, cache, dh_out):
+def lstm_lanes_backward(layers, cache, dh_out):
     """Truncated BPTT through lstm_lanes_forward.
 
-    dh_out [T, B, hidden] is the loss gradient at each step's output h;
-    no gradient flows into the initial state. The gate buffer is reused
-    for dZ, which then forms dWx = dZ^T x and dWh = dZ^T h_prev as single
-    GEMMs. Returns dx [T, B, in].
+    dh_out [S, T, B, hidden] is the loss gradient at each step's output h;
+    no gradient flows into the initial state. Per step the element-wise
+    block runs once for the group, dZ Wh once per stream. The gate buffer
+    is reused for dZ, which then forms each stream's dWx = dZ^T x and
+    dWh = dZ^T h_prev as single GEMMs. Returns each stream's dx [T, B, in_s].
     """
-    x, gates, hs, cs = cache
-    steps, lanes, width = gates.shape
+    xs, gates, hs, cs = cache
+    streams, steps, lanes, width = gates.shape
     n = width // 4
-    wh = layer.Wh.data
-    tanh_c = np.tanh(cs[1:])
-    dh = np.zeros((lanes, n))
-    dc = np.zeros((lanes, n))
+    tanh_c = np.tanh(cs[:, 1:])
+    dh, dc = np.zeros((2, streams, lanes, n))
     for t in range(steps - 1, -1, -1):
-        z = gates[t]
-        i, f, g, o = z[:, :n], z[:, n:2 * n], z[:, 2 * n:3 * n], z[:, 3 * n:]
-        tc = tanh_c[t]
-        dh += dh_out[t]
+        z = gates[:, t]
+        i, f, g, o = z[..., :n], z[..., n:2 * n], z[..., 2 * n:3 * n], z[..., 3 * n:]
+        tc = tanh_c[:, t]
+        dh += dh_out[:, t]
         dc += dh * o * (1.0 - tc * tc)
         d_o = dh * tc * o * (1.0 - o)
         d_i = dc * g * i * (1.0 - i)
         d_g = dc * i * (1.0 - g * g)
-        d_f = dc * cs[t] * f * (1.0 - f)
+        d_f = dc * cs[:, t] * f * (1.0 - f)
         dc *= f
-        z[:, :n] = d_i
-        z[:, n:2 * n] = d_f
-        z[:, 2 * n:3 * n] = d_g
-        z[:, 3 * n:] = d_o
-        np.matmul(z, wh, out=dh)
-    dz = gates.reshape(steps * lanes, width)
-    layer.Wx.grad += dz.T @ x.reshape(steps * lanes, -1)
-    layer.Wh.grad += dz.T @ hs[:-1].reshape(steps * lanes, n)
-    layer.bias.grad += dz.sum(axis=0)
-    return (dz @ layer.Wx.data).reshape(x.shape)
+        np.concatenate([d_i, d_f, d_g, d_o], axis=-1, out=z)
+        for layer, dz, d in zip(layers, z, dh):
+            np.matmul(dz, layer.Wh.data, out=d)
+    dxs = []
+    for layer, x, dz, h in zip(layers, xs, gates, hs):
+        dz = dz.reshape(steps * lanes, width)
+        layer.Wx.grad += dz.T @ x.reshape(steps * lanes, -1)
+        layer.Wh.grad += dz.T @ h[:-1].reshape(steps * lanes, n)
+        layer.bias.grad += dz.sum(axis=0)
+        dxs.append((dz @ layer.Wx.data).reshape(x.shape))
+    return dxs
 
 
 def head_ce_lanes(head, h_top, post, targets, weights):

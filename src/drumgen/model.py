@@ -39,6 +39,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 GRAD_CLIP_NORM = 5.0
+ADAM_CHUNK = 32768  # elements per adam_step slot
+# Training groups K, H and T's LSTM layers up to this hidden size, where call
+# overhead dominates; above it, one stream at a time keeps one stream's caches alive.
+STACK_STREAMS_MAX_HIDDEN = 128
 
 
 def has_field_type(value, kind):
@@ -209,7 +213,8 @@ def _wave(params, slices, states, keeps):
     different pieces side by side as lanes, padded to the longest with
     loss weight 0. states holds each lane's initial state (None = zeros),
     keeps its [b-a x sum(_dropout_widths)] keep mask (None without
-    dropout). Returns each slice's mean loss and end state."""
+    dropout). Returns each slice's mean loss and end state; the streams run
+    grouped up to STACK_STREAMS_MAX_HIDDEN."""
     cfg = params.config
     h = cfg.hidden
     lengths = [b - a for _, a, b in slices]
@@ -250,35 +255,40 @@ def _wave(params, slices, states, keeps):
     d_post = np.zeros_like(post_out)
     ce = np.zeros(rows)
     ends = [{} for _ in range(lanes)]
-    for si, (s, vocab) in enumerate(zip(STREAM_NAMES, VOCAB_SIZES)):
-        x = np.zeros((rows, vocab + h))
-        x[np.arange(rows), words[:, si]] = 1.0
-        x[:, vocab:] = pre_out
-        stack = params.lstm_stacks[s]
-        layer_cols = [next(columns) for _ in stack]
+    # each stream's mask columns: its layers' inputs, then its top output
+    cols = [[next(columns) for _ in range(cfg.lstm_layers + 1)] for _ in STREAM_NAMES]
+    for group in [(0, 1, 2)] if h <= STACK_STREAMS_MAX_HIDDEN else [(0,), (1,), (2,)]:
+        names = [STREAM_NAMES[si] for si in group]
+        xs = [np.hstack([np.eye(VOCAB_SIZES[si])[words[:, si]], pre_out]) for si in group]
         caches = []
-        for li, layer in enumerate(stack):
+        for li in range(cfg.lstm_layers):
             if li:
-                x = hs[1:].reshape(rows, h).copy()
-            drop(x, layer_cols[li])
-            h0 = np.stack([np.zeros(h) if st is None else st[s][li][0].data for st in states])
-            c0 = np.stack([np.zeros(h) if st is None else st[s][li][1].data for st in states])
-            hs, cs, cache = lstm_lanes_forward(layer, x.reshape(steps, lanes, -1), h0, c0)
-            caches.append(cache)
-            for j, n in enumerate(lengths):
-                ends[j].setdefault(s, []).append(
-                    [Tensor(hs[n, j].copy()), Tensor(cs[n, j].copy())])
-        top_cols = next(columns)
-        top = drop(hs[1:].reshape(rows, h).copy(), top_cols)
-        ce_s, d_top, d_post_s = head_ce_lanes(params.heads[s], top, post_out,
-                                              targets[:, si], weights)
-        ce += ce_s
-        d_post += d_post_s
-        dh = drop(d_top, top_cols)
-        for li in range(len(stack) - 1, -1, -1):
-            dx = lstm_lanes_backward(stack[li], caches[li], dh.reshape(steps, lanes, h))
-            dh = drop(dx.reshape(rows, -1), layer_cols[li])
-        d_pre += dh[:, vocab:]
+                xs = [y[1:].reshape(rows, h).copy() for y in hs]
+            xs = [drop(x, cols[si][li]).reshape(steps, lanes, -1) for x, si in zip(xs, group)]
+            h0, c0 = (np.array([[np.zeros(h) if st is None else st[s][li][k].data
+                                 for st in states] for s in names]) for k in (0, 1))
+            layers = [params.lstm_stacks[s][li] for s in names]
+            caches.append(lstm_lanes_forward(layers, xs, h0, c0)[2])
+            hs, cs = caches[-1][2:]
+            for k, s in enumerate(names):
+                for j, n in enumerate(lengths):
+                    ends[j].setdefault(s, []).append(
+                        [Tensor(hs[k, n, j].copy()), Tensor(cs[k, n, j].copy())])
+        dh = np.empty((len(group), rows, h))
+        for k, (si, s) in enumerate(zip(group, names)):
+            top = drop(hs[k, 1:].reshape(rows, h).copy(), cols[si][-1])
+            ce_s, dh[k], d_post_s = head_ce_lanes(params.heads[s], top, post_out,
+                                                  targets[:, si], weights)
+            ce += ce_s
+            d_post += d_post_s
+            drop(dh[k], cols[si][-1])
+        for li in range(cfg.lstm_layers - 1, -1, -1):
+            dh = np.reshape(dh, (len(group), steps, lanes, h))
+            # pop: a layer's cache is freed once its gradients are taken
+            dxs = lstm_lanes_backward([params.lstm_stacks[s][li] for s in names], caches.pop(), dh)
+            dh = [drop(dx.reshape(rows, -1), cols[si][li]) for dx, si in zip(dxs, group)]
+        for dx, si in zip(dh, group):
+            d_pre += dx[:, VOCAB_SIZES[si]:]
     linear_rows_backward(params.pre_ff, pre, drop(d_pre, pre_cols))
     linear_rows_backward(params.post_ff, post, drop(d_post, post_cols))
 
@@ -354,8 +364,9 @@ class InferenceRun:
     done here: the pre/post windows (prefix sums), pre-FF and post-FF,
     layer 1's condition columns plus bias, and each head's post-FF half
     plus bias. A step gathers layer 1's word column and runs the recurrent
-    and upper-layer products, the gate math and the heads' h_top half, on
-    single rows so that it shares the lane ops of training. ckpt is a
+    and upper-layer products per stream and the heads' h_top half on
+    single rows; the gate math runs once per layer for all three streams,
+    the single-lane case of training's lstm_cell_lanes. ckpt is a
     Checkpoint or Weights; the weights are views of its values, checked
     against its config. Probabilities match forward_step up to float
     rounding.
@@ -371,39 +382,34 @@ class InferenceRun:
         post_out = linear_rows(post, w["post_ff.W"], w["post_ff.b"])
         self.t = 0
         self.scale, self.shift = _gate_affine(h)
-        self.streams = []
-        for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
-            layers = [(w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"], w[f"{s}.lstm{li}.bias"])
-                      for li in range(1, cfg.lstm_layers + 1)]
-            wx1, _, bias1 = layers[0]
-            head = w[f"{s}.head.W"]
-            self.streams.append((
-                wx1[:, :vocab].T,
-                linear_rows(pre_out, wx1[:, vocab:], bias1),
-                layers,
-                head[:, :h],
-                linear_rows(post_out, head[:, h:], w[f"{s}.head.b"]),
-                np.zeros((len(layers), 1, h)),
-                np.zeros((len(layers), 1, h)),
-            ))
+        # per layer, each stream's (Wx, Wh, bias); layer 1's Wx is unused
+        self.layers = [[(w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"], w[f"{s}.lstm{li}.bias"])
+                        for s in STREAM_NAMES] for li in range(1, cfg.lstm_layers + 1)]
+        self.inputs = [(wx1[:, :vocab].T, linear_rows(pre_out, wx1[:, vocab:], bias1))
+                       for vocab, (wx1, _, bias1) in zip(VOCAB_SIZES, self.layers[0])]
+        self.heads = [(w[f"{s}.head.W"][:, :h],
+                       linear_rows(post_out, w[f"{s}.head.W"][:, h:], w[f"{s}.head.b"]))
+                      for s in STREAM_NAMES]
+        self.hs, self.cs = np.zeros((2, cfg.lstm_layers, len(STREAM_NAMES), 1, h))
+        self.z = np.empty((len(STREAM_NAMES), 1, 4 * h))
 
     def step(self, words):
         """Feed the previous step's three words (silence words at step 0);
         returns each stream's next-word probabilities [vocab]."""
         t = self.t
         self.t += 1
-        probs = []
-        for si, (word_cols, cond_gates, layers, head_top, head_post, hs, cs) \
-                in enumerate(self.streams):
-            z = cond_gates[t:t + 1] + word_cols[words[si]]
-            for li, (wx, wh, bias) in enumerate(layers):
+        hs, cs, z = self.hs, self.cs, self.z
+        for (word_cols, cond_gates), word, zs in zip(self.inputs, words, z):
+            np.add(cond_gates[t:t + 1], word_cols[word], out=zs)
+        for li, layer in enumerate(self.layers):
+            for si, (wx, wh, bias) in enumerate(layer):
                 if li:
-                    z = linear_rows(hs[li - 1], wx, bias)
-                z += hs[li] @ wh.T
-                lstm_cell_lanes(z, cs[li], self.scale, self.shift, cs[li], hs[li])
-            logits = linear_rows(hs[-1], head_top, head_post[t])
-            probs.append(softmax_rows_inplace(logits)[0])
-        return probs
+                    np.matmul(hs[li - 1, si], wx.T, out=z[si])
+                    z[si] += bias
+                z[si] += hs[li, si] @ wh.T
+            lstm_cell_lanes(z, cs[li], self.scale, self.shift, cs[li], hs[li])
+        return [softmax_rows_inplace(linear_rows(h_top, head_top, head_post[t]))[0]
+                for h_top, (head_top, head_post) in zip(hs[-1], self.heads)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +427,7 @@ def clip_global_norm(grads, max_norm):
 
 def adam_step(slots, lr, t):
     """Bias-corrected Adam update, in place, of each (value, grad, m, v)
-    slot of four equal-shape arrays. One slot per parameter keeps the
-    temporaries parameter-sized."""
+    slot of four equal-shape arrays; the temporaries are slot-sized."""
     if t < 1:
         raise ValueError("Adam step counter starts at 1")
     for value, grad, m, v in slots:
@@ -438,15 +443,16 @@ def adam_step(slots, lr, t):
 class Optimizer:
     """Adam with global-norm gradient clipping, tracking its own step
     count. Adam's moments m and v are flat buffers laid out as
-    params.values."""
+    params.values; adam_step runs on ADAM_CHUNK-element slices of all four."""
 
     def __init__(self, params):
         self.params = params
         self.t = 0
         self.m = np.zeros(params.values.shape)
         self.v = np.zeros(params.values.shape)
-        self._slots = list(zip(*(_views(buf, params.shapes).values() for buf in
-                                 (params.values, params.grads, self.m, self.v))))
+        bufs = (params.values, params.grads, self.m, self.v)
+        self._slots = [tuple(buf[a:a + ADAM_CHUNK] for buf in bufs)
+                       for a in range(0, len(params.values), ADAM_CHUNK)]
 
     def step(self, grad_scale=1.0):
         """Scale, clip and apply the accumulated gradients, then zero
@@ -506,8 +512,17 @@ def make_checkpoint(params, opt, rng, epoch, loss_history):
 @functools.lru_cache(maxsize=None)
 def param_shapes(config):
     """Read-only ModelParams(config).shapes, the layout of its flat
-    buffers; taken from one built without draws and kept per config."""
-    return types.MappingProxyType(ModelParams(config).shapes)
+    buffers, {name: shape} in name order; computed from the config's
+    sizes, VOCAB_SIZES and COND_DIM, and kept per config."""
+    h = config.hidden
+    shapes = {"pre_ff.W": (h, COND_DIM), "pre_ff.b": (h,),
+              "post_ff.W": (h, COND_DIM), "post_ff.b": (h,)}
+    for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
+        shapes.update({f"{s}.head.W": (vocab, 2 * h), f"{s}.head.b": (vocab,)})
+        for li in range(1, config.lstm_layers + 1):
+            shapes.update({f"{s}.lstm{li}.Wx": (4 * h, vocab + h if li == 1 else h),
+                           f"{s}.lstm{li}.Wh": (4 * h, h), f"{s}.lstm{li}.bias": (4 * h,)})
+    return types.MappingProxyType(dict(sorted(shapes.items())))
 
 
 def _views(buf, shapes):

@@ -199,15 +199,20 @@ def test_merge_then_split_roundtrip():
 
 
 def test_lstm_lanes_forward_matches_lstm_step():
+    """A group of three streams of different input widths, each lane of
+    each stream checked against lstm_step from its own initial state."""
     rng = np.random.default_rng(3)
-    layer = LSTMLayer(3, 2, rng)
-    x = rng.normal(size=(5, 2, 2))  # 5 steps, 2 lanes
-    h0 = rng.normal(size=(2, 3))
-    c0 = rng.normal(size=(2, 3))
-    hs, cs, _ = lstm_lanes_forward(layer, x, h0, c0)
-    for j in range(2):
-        state = [Tensor(h0[j]), Tensor(c0[j])]
-        for t in range(5):
-            state = lstm_step(layer, Tensor(x[t, j]), state)
-            npt.assert_allclose(hs[t + 1, j], state[0].data, rtol=0, atol=1e-15)
-            npt.assert_allclose(cs[t + 1, j], state[1].data, rtol=0, atol=1e-15)
+    hidden, steps, lanes = 3, 5, 2
+    layers = [LSTMLayer(hidden, width + hidden, rng) for width in (4, 8, 16)]
+    xs = [rng.normal(size=(steps, lanes, layer.in_dim)) for layer in layers]
+    h0 = rng.normal(size=(3, lanes, hidden))
+    c0 = rng.normal(size=(3, lanes, hidden))
+    hs, cs, _ = lstm_lanes_forward(layers, xs, h0, c0)
+    assert hs.shape == cs.shape == (3, steps + 1, lanes, hidden)
+    for k, (layer, x) in enumerate(zip(layers, xs)):
+        for j in range(lanes):
+            state = [Tensor(h0[k, j]), Tensor(c0[k, j])]
+            for t in range(steps):
+                state = lstm_step(layer, Tensor(x[t, j]), state)
+                npt.assert_allclose(hs[k, t + 1, j], state[0].data, rtol=0, atol=1e-15)
+                npt.assert_allclose(cs[k, t + 1, j], state[1].data, rtol=0, atol=1e-15)

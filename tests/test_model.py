@@ -367,6 +367,66 @@ def test_lane_batch_matches_tape_path(tiny_corpus, dropout):
     assert lane[3] == tape[3]
 
 
+def counting_groups(monkeypatch):
+    """Patch model.lstm_lanes_forward to record each call's group size."""
+    sizes = []
+    real = dm.lstm_lanes_forward
+
+    def wrapper(layers, *args):
+        sizes.append(len(layers))
+        return real(layers, *args)
+    monkeypatch.setattr(dm, "lstm_lanes_forward", wrapper)
+    return sizes
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monkeypatch,
+                                                                dropout):
+    """Grouping K, H and T changes no float operation: losses, end states,
+    gradients and the generator state are equal bit for bit."""
+    params = ModelParams(tiny_config(dropout=dropout, hidden=5), np.random.default_rng(10))
+    randomized_heads(params, 11)
+    a, b = tiny_corpus
+    _, carry = dm.lane_batch_backward(params, [(0, a, 0, 8)], {}, np.random.default_rng(12))
+    params.grads[...] = 0.0
+    batch = [(0, a, 8, 16), (1, b, 0, 8), (1, b, 8, 13), (2, a, 0, 5)]
+    sizes = counting_groups(monkeypatch)
+    grouped = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
+    assert set(sizes) == {3}
+    sizes.clear()
+    monkeypatch.setattr(dm, "STACK_STREAMS_MAX_HIDDEN", 4)
+    single = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
+    assert set(sizes) == {1}
+
+    assert grouped[0] == single[0]
+    assert list(grouped[1]) == list(single[1]) == [0, 1, 2]
+    for key in grouped[1]:
+        assert list(grouped[1][key]) == list(single[1][key]) == list(STREAM_NAMES)
+        for s in STREAM_NAMES:
+            for (h1, c1), (h2, c2) in zip(grouped[1][key][s], single[1][key][s], strict=True):
+                npt.assert_array_equal(h1.data, h2.data)
+                npt.assert_array_equal(c1.data, c2.data)
+    for name, g in grouped[2].items():
+        assert np.any(g != 0.0), name
+        npt.assert_array_equal(single[2][name].view(np.uint64), g.view(np.uint64))
+    assert grouped[3] == single[3]
+
+
+@pytest.mark.parametrize("hidden, group", [(4, 3), (130, 1)])
+def test_train_groups_the_streams_only_at_small_hidden_sizes(tiny_corpus, monkeypatch,
+                                                              hidden, group):
+    """One lstm_lanes_forward call per layer and wave for all three
+    streams up to STACK_STREAMS_MAX_HIDDEN, three above it."""
+    waves = []
+    real_wave = dm._wave
+    monkeypatch.setattr(dm, "_wave", lambda *args: waves.append(1) or real_wave(*args))
+    sizes = counting_groups(monkeypatch)
+    train(tiny_corpus, tiny_config(hidden=hidden, lstm_layers=2), epochs=1,
+          snapshot_epochs=(), seed=0)
+    assert len(waves) > 1
+    assert sizes == [group] * (2 * len(waves) * 3 // group)
+
+
 @pytest.mark.parametrize("batch_size", [1, 4])
 def test_train_matches_tape_step(tiny_corpus, monkeypatch, batch_size):
     """Whole epochs: batching, carried state and dropout draws line up."""
@@ -386,6 +446,24 @@ def test_optimizer_step_returns_norm_before_clipping():
     plist[0].grad[...] = 3.0
     norm = Optimizer(params).step(grad_scale=0.5)
     npt.assert_allclose(norm, 1.5 * np.sqrt(plist[0].data.size))
+
+
+def test_optimizer_step_equals_adam_over_the_whole_buffers():
+    """Adam runs on ADAM_CHUNK slices, the shorter last one included; the
+    update is that of one slot over the whole buffers, bit for bit."""
+    params = ModelParams(tiny_config(hidden=48), np.random.default_rng(16))
+    n = len(params.values)
+    assert n > 2 * dm.ADAM_CHUNK and n % dm.ADAM_CHUNK
+    opt = Optimizer(params)
+    value, m, v = params.values.copy(), np.zeros(n), np.zeros(n)
+    rng = np.random.default_rng(17)
+    for t in (1, 2):
+        grad = rng.normal(size=n) * 1e-3  # norm about 0.35: no clipping
+        params.grads[...] = grad
+        opt.step()
+        adam_step([(value, grad, m, v)], params.config.learning_rate, t)
+        for got, want in ((params.values, value), (opt.m, m), (opt.v, v)):
+            npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_train_raises_on_non_finite_values(tiny_corpus):
@@ -445,6 +523,17 @@ def test_param_shapes_match_model_params(layers):
     cfg = tiny_config(lstm_layers=layers)
     params = ModelParams(cfg, np.random.default_rng(0))
     assert dm.param_shapes(cfg) == {p.name: p.data.shape for p in params.parameters()}
+
+
+def test_param_shapes_builds_no_model_params(monkeypatch):
+    cfg = tiny_config(hidden=7, lstm_layers=3)
+    want = {p.name: p.data.shape for p in ModelParams(cfg).parameters()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("param_shapes built a ModelParams")
+    monkeypatch.setattr(dm, "ModelParams", refuse)
+    dm.param_shapes.cache_clear()
+    assert list(dm.param_shapes(cfg).items()) == sorted(want.items())
 
 
 def test_checkpoint_tensor_of_wrong_shape_rejected(tiny_corpus):
