@@ -2,6 +2,8 @@
 inverted dropout, plus the lane ops (plain numpy, no tape) that training
 and generation run on."""
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -117,13 +119,13 @@ def linear_rows_backward(layer, x, dy):
     layer.b.grad += dy.sum(axis=0)
 
 
+@functools.lru_cache(maxsize=None)
 def _gate_affine(n):
-    """Per-column (scale, shift) turning tanh into the LSTM gate
-    activations: sigmoid(z) = 0.5 tanh(z/2) + 0.5 on i, f, o; tanh on g."""
-    scale = np.full(4 * n, 0.5)
-    scale[2 * n:3 * n] = 1.0
-    shift = scale.copy()
-    shift[2 * n:3 * n] = 0.0
+    """Read-only per-column (scale, shift) turning tanh into the LSTM gate activations,
+    one pair per hidden size: sigmoid(z) = 0.5 tanh(z/2) + 0.5 on i, f, o; tanh on g."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], n)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], n)
+    scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
 
 
@@ -132,10 +134,9 @@ def lstm_lanes_forward(layers, xs, h0, c0):
 
     layers are the streams' LSTMLayers of one hidden size, xs their inputs
     [T, B, in_s], h0 and c0 [S, B, hidden]. Per stream, Wx x + bias is one
-    GEMM over all T*B rows and Wh h one product per step; the gate math
-    runs once per step for the group. Returns (hs, cs, cache): hs and cs
-    are [S, T+1, B, hidden], step 0 the initial state; cache feeds
-    lstm_lanes_backward.
+    GEMM over all T*B rows; each step is one lstm_lanes_step for the
+    group. Returns (hs, cs, cache): hs and cs are [S, T+1, B, hidden],
+    step 0 the initial state; cache feeds one lstm_lanes_backward.
     """
     steps, lanes, _ = xs[0].shape
     n = layers[0].hidden
@@ -143,30 +144,30 @@ def lstm_lanes_forward(layers, xs, h0, c0):
     for layer, x, z in zip(layers, xs, gates):
         np.matmul(x.reshape(steps * lanes, -1), layer.Wx.data.T, out=z.reshape(steps * lanes, -1))
         z += layer.bias.data
-    scale, shift = _gate_affine(n)
     hs, cs = np.empty((2, len(layers), steps + 1, lanes, n))
     hs[:, 0], cs[:, 0] = h0, c0
+    whs = [layer.Wh.data for layer in layers]
     rec = np.empty((len(layers), lanes, 4 * n))
     for t in range(steps):
-        for layer, h, r in zip(layers, hs[:, t], rec):
-            np.matmul(h, layer.Wh.data.T, out=r)
-        z = gates[:, t]
-        z += rec
-        lstm_cell_lanes(z, cs[:, t], scale, shift, cs[:, t + 1], hs[:, t + 1])
-    return hs, cs, (xs, gates, hs, cs)
+        lstm_lanes_step(whs, gates[:, t], hs[:, t], cs[:, t], hs[:, t + 1], cs[:, t + 1], rec)
+    return hs, cs, [xs, gates, hs, cs]
 
 
-def lstm_cell_lanes(z, c_prev, scale, shift, c_out, h_out):
-    """Gate math of one step for S streams of B lanes: turns the
-    pre-activations z [S, B, 4*hidden] into the gate activations in place
-    and writes the new cell and hidden state into c_out and h_out
-    [S, B, hidden] (c_out may be c_prev)."""
-    n = c_prev.shape[-1]
+def lstm_lanes_step(whs, z, h, c, h_out, c_out, rec):
+    """One step of one LSTM layer for S streams of B lanes, in training and in
+    generation: adds each stream's h @ Wh.T (whs; h [S, B, hidden]) into the input
+    pre-activations z [S, B, 4*hidden] through the scratch rec of z's shape, turns z
+    into the gate activations in place and writes h_out and c_out, which may be h and c."""
+    n = h.shape[-1]
+    for wh, h_k, r in zip(whs, h, rec):
+        np.matmul(h_k, wh.T, out=r)
+    z += rec
+    scale, shift = _gate_affine(n)
     z *= scale
     np.tanh(z, out=z)
     z *= scale
     z += shift
-    np.multiply(z[..., n:2 * n], c_prev, out=c_out)
+    np.multiply(z[..., n:2 * n], c, out=c_out)
     c_out += z[..., :n] * z[..., 2 * n:3 * n]
     np.tanh(c_out, out=h_out)
     h_out *= z[..., 3 * n:]
@@ -187,9 +188,13 @@ def lstm_lanes_backward(layers, cache, dh_out):
     no gradient flows into the initial state. Per step the element-wise
     block runs once for the group, dZ Wh once per stream. The gate buffer
     is reused for dZ, which then forms each stream's dWx = dZ^T x and
-    dWh = dZ^T h_prev as single GEMMs. Returns each stream's dx [T, B, in_s].
+    dWh = dZ^T h_prev as single GEMMs, so the call empties the cache and
+    raises on an empty one. Returns each stream's dx [T, B, in_s].
     """
+    if not cache:
+        raise ValueError("lstm_lanes_backward: cache already spent by an earlier backward")
     xs, gates, hs, cs = cache
+    cache.clear()
     streams, steps, lanes, width = gates.shape
     n = width // 4
     tanh_c = np.tanh(cs[:, 1:])

@@ -24,8 +24,8 @@ from .autodiff import Tensor, Tape, backward
 # under this module's name when it traces a run.
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
     dropout_apply, linear_rows, linear_rows_backward, \
-    lstm_lanes_forward, lstm_lanes_backward, head_ce_lanes, lstm_cell_lanes, \
-    softmax_rows_inplace, _gate_affine
+    lstm_lanes_forward, lstm_lanes_backward, lstm_lanes_step, head_ce_lanes, \
+    softmax_rows_inplace
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows, \
     check_cond, check_words
 from .ioutil import atomic_write_bytes
@@ -363,10 +363,10 @@ class InferenceRun:
     What does not depend on the fed-back words is one GEMM over all steps,
     done here: the pre/post windows (prefix sums), pre-FF and post-FF,
     layer 1's condition columns plus bias, and each head's post-FF half
-    plus bias. A step gathers layer 1's word column and runs the recurrent
-    and upper-layer products per stream and the heads' h_top half on
-    single rows; the gate math runs once per layer for all three streams,
-    the single-lane case of training's lstm_cell_lanes. ckpt is a
+    plus bias. A step gathers layer 1's word column, runs the upper
+    layers' input products per stream and each layer as one
+    lstm_lanes_step for all three streams (training's step, with one
+    lane), then the heads' h_top half on single rows. ckpt is a
     Checkpoint or Weights; the weights are views of its values, checked
     against its config. Probabilities match forward_step up to float
     rounding.
@@ -381,7 +381,6 @@ class InferenceRun:
         pre_out = linear_rows(pre, w["pre_ff.W"], w["pre_ff.b"])
         post_out = linear_rows(post, w["post_ff.W"], w["post_ff.b"])
         self.t = 0
-        self.scale, self.shift = _gate_affine(h)
         # per layer, each stream's (Wx, Wh, bias); layer 1's Wx is unused
         self.layers = [[(w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"], w[f"{s}.lstm{li}.bias"])
                         for s in STREAM_NAMES] for li in range(1, cfg.lstm_layers + 1)]
@@ -391,7 +390,7 @@ class InferenceRun:
                        linear_rows(post_out, w[f"{s}.head.W"][:, h:], w[f"{s}.head.b"]))
                       for s in STREAM_NAMES]
         self.hs, self.cs = np.zeros((2, cfg.lstm_layers, len(STREAM_NAMES), 1, h))
-        self.z = np.empty((len(STREAM_NAMES), 1, 4 * h))
+        self.z, self.rec = np.empty((2, len(STREAM_NAMES), 1, 4 * h))
 
     def step(self, words):
         """Feed the previous step's three words (silence words at step 0);
@@ -402,12 +401,11 @@ class InferenceRun:
         for (word_cols, cond_gates), word, zs in zip(self.inputs, words, z):
             np.add(cond_gates[t:t + 1], word_cols[word], out=zs)
         for li, layer in enumerate(self.layers):
-            for si, (wx, wh, bias) in enumerate(layer):
-                if li:
-                    np.matmul(hs[li - 1, si], wx.T, out=z[si])
-                    z[si] += bias
-                z[si] += hs[li, si] @ wh.T
-            lstm_cell_lanes(z, cs[li], self.scale, self.shift, cs[li], hs[li])
+            if li:
+                for (wx, _, bias), h_below, z_s in zip(layer, hs[li - 1], z):
+                    np.matmul(h_below, wx.T, out=z_s)
+                    z_s += bias
+            lstm_lanes_step([wh for _, wh, _ in layer], z, hs[li], cs[li], hs[li], cs[li], self.rec)
         return [softmax_rows_inplace(linear_rows(h_top, head_top, head_post[t]))[0]
                 for h_top, (head_top, head_post) in zip(hs[-1], self.heads)]
 
@@ -608,11 +606,14 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     if resume is not None and not isinstance(resume, Checkpoint):
         raise TypeError(f"resume needs a Checkpoint with moments and RNG state "
                         f"(load_checkpoint), got {type(resume).__name__}")
+    start_epoch = 0 if resume is None else resume.epoch
+    if not has_field_type(epochs, int) or epochs < start_epoch:
+        raise ValueError(f"epochs must be an int of at least {start_epoch}, the epoch "
+                         f"training starts from, got {epochs!r}")
     if resume is None:
         rng = np.random.default_rng(seed)
         params = ModelParams(config, rng)
         opt = Optimizer(params)
-        start_epoch = 0
         loss_history = []
     else:
         if config is not None and config != resume.config:
@@ -621,7 +622,6 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
             raise ValueError(f"config differs from the resumed checkpoint's in {differ}")
         params, opt, rng = _restore_training(resume)
         config = params.config
-        start_epoch = resume.epoch
         loss_history = list(resume.loss_history)
     for index, seq in enumerate(corpus):
         _check_piece(seq, config, index)

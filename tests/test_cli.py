@@ -200,6 +200,16 @@ def test_train_non_finite_learning_rate_rejected(tmp_path, capsys, rate):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_negative_epochs_rejected_before_writing(tmp_path, capsys):
+    assert run_cli(["synth", "--songs", "2", "--bars", "1",
+                    "--out", str(tmp_path / "corpus")]) == 0
+    code = run_cli(["train", str(tmp_path / "corpus"), "--hidden", "4", "--epochs", "-1",
+                    "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "epochs must be an int of at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_embed_non_finite_perplexity_rejected(tmp_path, capsys):
     rows = [(f"p{i}", "g", np.random.default_rng(i).normal(size=len(GLOBAL_FEATURE_NAMES)))
             for i in range(5)]

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from drumgen import autodiff as ad
 from drumgen.autodiff import Tensor, finite_diff_check
 from drumgen.layers import (LinearLayer, LSTMLayer, dropout_apply,
-                            lstm_lanes_forward, lstm_step, stacked_lstm_step)
+                            lstm_lanes_backward, lstm_lanes_forward, lstm_step,
+                            stacked_lstm_step)
 
 
 def make_linear(w, b):
@@ -216,3 +217,18 @@ def test_lstm_lanes_forward_matches_lstm_step():
                 state = lstm_step(layer, Tensor(x[t, j]), state)
                 npt.assert_allclose(hs[k, t + 1, j], state[0].data, rtol=0, atol=1e-15)
                 npt.assert_allclose(cs[k, t + 1, j], state[1].data, rtol=0, atol=1e-15)
+
+
+def test_lstm_lanes_backward_rejects_a_spent_cache():
+    """Backward turns the cache's gates into dZ, so a second backward over
+    the same cache raises instead of returning wrong gradients."""
+    rng = np.random.default_rng(4)
+    hidden, steps, lanes = 8, 16, 2
+    layers = [LSTMLayer(hidden, 5, rng)]
+    xs = [rng.normal(size=(steps, lanes, 5))]
+    h0 = c0 = np.zeros((1, lanes, hidden))
+    _, _, cache = lstm_lanes_forward(layers, xs, h0, c0)
+    dh = rng.normal(size=(1, steps, lanes, hidden))
+    lstm_lanes_backward(layers, cache, dh)
+    with pytest.raises(ValueError, match="cache already spent"):
+        lstm_lanes_backward(layers, cache, dh)

@@ -1,14 +1,17 @@
 import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drumgen import layers as dl
 from drumgen import model as dm
-from drumgen.autodiff import Tape, backward, finite_diff_check
-from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES,
+from drumgen.autodiff import Tape, Tensor, backward, finite_diff_check
+from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES, EncodedSequence,
                               condition_windows, encode_sequence, quantize_song)
 from drumgen.model import (ModelConfig, ModelParams, Optimizer,
                            adam_step, clip_global_norm, forward_step,
@@ -231,6 +234,21 @@ def test_train_zero_epochs_returns_initial_state(tiny_corpus):
     npt.assert_allclose(float(loss.data), LN512, atol=1e-9)
 
 
+@pytest.mark.parametrize("epochs", [-2, -1, 2.0, True, "3"])
+def test_train_rejects_epochs_below_zero_or_not_int(tiny_corpus, epochs):
+    with pytest.raises(ValueError, match=rf"epochs must be an int of at least 0, .*got {epochs!r}"):
+        train(tiny_corpus, tiny_config(), epochs=epochs)
+
+
+def test_resume_rejects_epochs_below_the_checkpoint_epoch(tiny_corpus):
+    ckpt = train(tiny_corpus, tiny_config(), epochs=3, snapshot_epochs=(), seed=6)[-1]
+    for epochs in (1, 2):
+        with pytest.raises(ValueError, match=rf"at least 3, .*got {epochs}"):
+            train(tiny_corpus, None, epochs=epochs, resume=ckpt)
+    same = train(tiny_corpus, None, epochs=3, resume=ckpt)
+    assert [c.epoch for c in same] == [3] and same[0].loss_history == ckpt.loss_history
+
+
 def test_train_requires_corpus():
     with pytest.raises(ValueError, match="empty"):
         train([], tiny_config(), epochs=1)
@@ -364,6 +382,58 @@ def test_lane_batch_matches_tape_path(tiny_corpus, dropout):
         assert np.any(g != 0.0), name
         err = np.max(np.abs(lane[2][name] - g)) / np.max(np.abs(g))
         assert err <= 1e-10, (name, err)
+    assert lane[3] == tape[3]
+
+
+@st.composite
+def lane_batches(draw):
+    """A config and a batch of 1-4 slices from 1-3 pieces: each piece's
+    slices are consecutive, of 1-6 steps, and a piece whose first slice
+    starts past step 0 carries a random state in from the batch before."""
+    cfg = ModelConfig(hidden=draw(st.integers(1, 8)), lstm_layers=draw(st.integers(1, 3)),
+                      dropout=draw(st.sampled_from([0.0, 0.2])),
+                      w_past=draw(st.integers(0, 8)), w_future=draw(st.integers(0, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda c: sum(c) <= 4))
+    batch, carry = [], {}
+    for key, count in enumerate(counts):
+        lengths = draw(st.lists(st.integers(1, 6), min_size=count, max_size=count))
+        start = draw(st.integers(0, 4))
+        steps = start + sum(lengths) + draw(st.integers(0, 2))
+        words = np.stack([rng.integers(vocab, size=steps + 1) for vocab in VOCAB_SIZES], axis=1)
+        cond = (rng.random((steps, COND_DIM)) < 0.3).astype(np.float64)
+        seq = EncodedSequence(words[:-1], words[1:], cond, cfg.w_past, cfg.w_future)
+        for n in lengths:
+            batch.append((key, seq, start, start + n))
+            start += n
+        carry[key] = {s: [[Tensor(rng.normal(size=cfg.hidden)), Tensor(rng.normal(size=cfg.hidden))]
+                          for _ in range(cfg.lstm_layers)] for s in STREAM_NAMES}
+    return cfg, batch, carry, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lane_batches())
+def test_lane_batch_matches_tape_path_on_drawn_batches(case):
+    """Fuzzed oracle for lane_batch_backward, with the contracts of
+    test_lane_batch_matches_tape_path, grouped and one stream at a time."""
+    cfg, batch, carry, grouped = case
+    params = ModelParams(cfg, np.random.default_rng(len(batch)))
+    randomized_heads(params, 11)
+    limit = cfg.hidden if grouped else cfg.hidden - 1
+    with mock.patch.object(dm, "STACK_STREAMS_MAX_HIDDEN", limit):
+        lane = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
+    tape = run_batch(dm.tape_batch_backward, params, batch, carry, 13)
+
+    npt.assert_allclose(lane[0], tape[0], rtol=1e-12)
+    assert sorted(lane[1]) == sorted(tape[1]) == sorted(carry)
+    for key in tape[1]:
+        for s in STREAM_NAMES:
+            for (h1, c1), (h2, c2) in zip(lane[1][key][s], tape[1][key][s], strict=True):
+                npt.assert_allclose(h1.data, h2.data, rtol=0, atol=1e-12)
+                npt.assert_allclose(c1.data, c2.data, rtol=0, atol=1e-12)
+    for name, g in tape[2].items():
+        assert np.max(np.abs(lane[2][name] - g)) <= 1e-10 * np.max(np.abs(g)), name
     assert lane[3] == tape[3]
 
 

@@ -4,10 +4,12 @@ import functools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drumgen.encoding import (VOCAB_SIZES, encode_sequence, quantize_song,
-                              window_post, window_pre)
-from drumgen.model import (CheckpointError, InferenceRun, ModelConfig,
+from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES, encode_sequence,
+                              quantize_song, window_post, window_pre)
+from drumgen.model import (CheckpointError, InferenceRun, ModelConfig, ModelParams,
                            forward_step, load_weights, params_from_checkpoint,
                            Weights, save_checkpoint, train)
 from drumgen.sampling import (GenerationConfig, condition_track_from_song,
@@ -305,6 +307,32 @@ def test_inference_run_matches_forward_step(layers):
             worst = max(worst, np.max(np.abs(fast[si] - tape[si].data)))
         prev = track.seed_words[t]
     assert worst <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hidden=st.integers(1, 8), layers=st.integers(1, 3), w_past=st.integers(0, 8),
+       w_future=st.integers(0, 8), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_inference_run_matches_forward_step_on_drawn_models(hidden, layers, w_past, w_future,
+                                                            steps, seed):
+    """Fuzzed oracle: random sizes, windows, 0/1 condition track, heads
+    and fed-back words; every step's probabilities within 1e-12."""
+    cfg = ModelConfig(hidden=hidden, lstm_layers=layers, w_past=w_past, w_future=w_future)
+    rng = np.random.default_rng(seed)
+    params = ModelParams(cfg, rng)
+    for s in STREAM_NAMES:  # zero heads would give uniform rows whatever the stack does
+        params.heads[s].W.data[...] = rng.normal(size=params.heads[s].W.data.shape)
+        params.heads[s].b.data[...] = rng.normal(size=params.heads[s].b.data.shape)
+    cond = (rng.random((steps, COND_DIM)) < 0.3).astype(np.float64)
+    run = InferenceRun(Weights(cfg, params.values), cond)
+    state = params.zero_state()
+    prev = np.zeros(3, dtype=np.intp)
+    for t in range(steps):
+        tape = forward_step(params, prev, window_pre(cond, t, w_past),
+                            window_post(cond, t, w_future), state)
+        fast = run.step(prev)
+        for si in range(3):
+            npt.assert_allclose(fast[si], tape[si].data, rtol=0, atol=1e-12)
+        prev = np.array([rng.integers(vocab) for vocab in VOCAB_SIZES])
 
 
 @pytest.mark.parametrize("temperature", [0.01, 0.5, 1.0, 1.2])
