@@ -54,12 +54,16 @@ class Bar:
     phrase_mark: str
 
     def __post_init__(self):
+        for name in ("numerator", "denominator"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"bar {name} must be an int, got {value!r}")
         if self.numerator < 1:
             raise ValueError(f"bar numerator must be positive, got {self.numerator}")
         if self.denominator not in (2, 4, 8, 16):
             raise ValueError(f"bar denominator must be in {{2,4,8,16}}, got {self.denominator}")
-        if self.tempo_bpm <= 0:
-            raise ValueError(f"tempo must be positive, got {self.tempo_bpm}")
+        if isinstance(self.tempo_bpm, bool) or not 0 < self.tempo_bpm < math.inf:
+            raise ValueError(f"tempo must be positive and finite, got {self.tempo_bpm}")
         if self.phrase_mark not in PHRASE_MARKS:
             raise ValueError(f"phrase mark must be one of {PHRASE_MARKS}, got {self.phrase_mark!r}")
 
@@ -346,5 +350,13 @@ def save_song(song, path):
 
 
 def load_song(path):
+    """The Song of a JSON file; raises ValueError, naming path, for a
+    missing key or a bar that Bar rejects."""
     with open(path) as fh:
-        return song_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return song_from_dict(doc)
+    except KeyError as e:
+        raise ValueError(f"song file {path} lacks the key {e}") from e
+    except ValueError as e:
+        raise ValueError(f"song file {path}: {e}") from e

@@ -135,8 +135,13 @@ def read_features_csv(path):
         header = next(r)
         if tuple(header[2:]) != GLOBAL_FEATURE_NAMES:
             raise ValueError(f"unexpected features CSV header in {path}")
-        return [(row[0], row[1], np.array([float(x) for x in row[2:]]))
-                for row in r]
+        rows = []
+        for row in r:
+            if len(row) != len(header):
+                raise ValueError(f"features CSV {path}, line {r.line_num}: {len(row)} "
+                                 f"columns, the header has {len(header)}")
+            rows.append((row[0], row[1], np.array([float(x) for x in row[2:]])))
+        return rows
 
 
 def write_embedding_csv(path, pieces, groups, coords):

@@ -135,9 +135,8 @@ class ModelParams:
 
 
 def detach_state(state):
-    """Strip tape history from recurrent state (values persist, grads do not)."""
-    return {s: [[Tensor(h.data), Tensor(c.data)] for h, c in layers]
-            for s, layers in state.items()}
+    """Tape state {stream: [[h, c] per layer]} as a history-free [2, layers, 3, hidden] array."""
+    return np.array([[[h.data, c.data] for h, c in state[s]] for s in STREAM_NAMES]).swapaxes(0, 2)
 
 
 def forward_step(params, input_words, pre_vec, post_vec, state,
@@ -170,15 +169,17 @@ def sequence_loss(params, seq, start=0, end=None, training=False, rng=None,
     """Teacher-forced unroll over seq[start:end).
 
     Loss is the mean over steps of the summed per-stream cross-entropies.
-    Returns (loss, state) so callers can persist state across consecutive
-    slices of one piece.
+    state is a start state as detach_state returns (None: zeros). Returns
+    (loss, detach_state(end)), to carry across consecutive slices of one piece.
     """
     if end is None:
         end = len(seq)
     if end - start < 1:
         raise ValueError("sequence slice must contain at least one step")
     if state is None:
-        state = params.zero_state()
+        state = np.zeros((2, params.config.lstm_layers, 3, params.config.hidden))
+    state = {s: [[Tensor(h), Tensor(c)] for h, c in zip(*state[:, :, si])]
+             for si, s in enumerate(STREAM_NAMES)}
     pre, post = condition_windows(seq.cond, params.config.w_past, params.config.w_future)
     total = None
     for t in range(start, end):
@@ -189,7 +190,7 @@ def sequence_loss(params, seq, start=0, end=None, training=False, rng=None,
             step_loss = ad.add(step_loss,
                                ad.cross_entropy(probs[si], int(seq.targets[t][si])))
         total = step_loss if total is None else ad.add(total, step_loss)
-    return ad.scale(total, 1.0 / (end - start)), state
+    return ad.scale(total, 1.0 / (end - start)), detach_state(state)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +212,10 @@ def _dropout_widths(config):
 def _wave(params, slices, states, keeps):
     """Forward and backward over one wave: slices [(seq, a, b)] of
     different pieces side by side as lanes, padded to the longest with
-    loss weight 0. states holds each lane's initial state (None = zeros),
-    keeps its [b-a x sum(_dropout_widths)] keep mask (None without
-    dropout). Returns each slice's mean loss and end state; the streams run
-    grouped up to STACK_STREAMS_MAX_HIDDEN."""
+    loss weight 0. states holds each lane's initial state as detach_state
+    returns it (None = zeros), keeps its [b-a x sum(_dropout_widths)] keep
+    mask (None without dropout). Returns each slice's mean loss and end
+    state; the streams run grouped up to STACK_STREAMS_MAX_HIDDEN."""
     cfg = params.config
     h = cfg.hidden
     lengths = [b - a for _, a, b in slices]
@@ -254,7 +255,8 @@ def _wave(params, slices, states, keeps):
     d_pre = np.zeros_like(pre_out)
     d_post = np.zeros_like(post_out)
     ce = np.zeros(rows)
-    ends = [{} for _ in range(lanes)]
+    # [2, layers, 3, lanes, h]: start states, each layer's then overwritten by its end states
+    state = np.stack([np.zeros((2, cfg.lstm_layers, 3, h)) if x is None else x for x in states], 3)
     # each stream's mask columns: its layers' inputs, then its top output
     cols = [[next(columns) for _ in range(cfg.lstm_layers + 1)] for _ in STREAM_NAMES]
     for group in [(0, 1, 2)] if h <= STACK_STREAMS_MAX_HIDDEN else [(0,), (1,), (2,)]:
@@ -265,15 +267,11 @@ def _wave(params, slices, states, keeps):
             if li:
                 xs = [y[1:].reshape(rows, h).copy() for y in hs]
             xs = [drop(x, cols[si][li]).reshape(steps, lanes, -1) for x, si in zip(xs, group)]
-            h0, c0 = (np.array([[np.zeros(h) if st is None else st[s][li][k].data
-                                 for st in states] for s in names]) for k in (0, 1))
+            h0, c0 = state[:, li, group]
             layers = [params.lstm_stacks[s][li] for s in names]
             caches.append(lstm_lanes_forward(layers, xs, h0, c0)[2])
             hs, cs = caches[-1][2:]
-            for k, s in enumerate(names):
-                for j, n in enumerate(lengths):
-                    ends[j].setdefault(s, []).append(
-                        [Tensor(hs[k, n, j].copy()), Tensor(cs[k, n, j].copy())])
+            state[:, li, group] = hs[:, lengths, range(lanes)], cs[:, lengths, range(lanes)]
         dh = np.empty((len(group), rows, h))
         for k, (si, s) in enumerate(zip(group, names)):
             top = drop(hs[k, 1:].reshape(rows, h).copy(), cols[si][-1])
@@ -298,7 +296,8 @@ def _wave(params, slices, states, keeps):
     total = ce[0].copy()
     for row in ce[1:]:
         total += row
-    return [float(total[j] * (1.0 / n)) for j, n in enumerate(lengths)], ends
+    return ([float(total[j] * (1.0 / n)) for j, n in enumerate(lengths)],
+            [state[..., j, :] for j in range(lanes)])
 
 
 def lane_batch_backward(params, batch, carry, rng):
@@ -343,12 +342,11 @@ def tape_batch_backward(params, batch, carry, rng):
     losses = []
     states = {}
     for key, seq, a, b in batch:
-        state = detach_state(states.get(key, carry.get(key))) if a > 0 else None
+        state = states.get(key, carry.get(key)) if a > 0 else None
         with Tape() as tape:
-            loss, state = sequence_loss(params, seq, a, b, training=True,
-                                        rng=rng, state=state)
+            loss, states[key] = sequence_loss(params, seq, a, b, training=True,
+                                              rng=rng, state=state)
         backward(loss, tape)
-        states[key] = detach_state(state)
         losses.append(float(loss.data))
     return losses, states
 
@@ -380,7 +378,7 @@ class InferenceRun:
         pre, post = condition_windows(cond, cfg.w_past, cfg.w_future)
         pre_out = linear_rows(pre, w["pre_ff.W"], w["pre_ff.b"])
         post_out = linear_rows(post, w["post_ff.W"], w["post_ff.b"])
-        self.t = 0
+        self.t, self.steps = 0, len(cond)
         # per layer, each stream's (Wx, Wh, bias); layer 1's Wx is unused
         self.layers = [[(w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"], w[f"{s}.lstm{li}.bias"])
                         for s in STREAM_NAMES] for li in range(1, cfg.lstm_layers + 1)]
@@ -394,8 +392,14 @@ class InferenceRun:
 
     def step(self, words):
         """Feed the previous step's three words (silence words at step 0);
-        returns each stream's next-word probabilities [vocab]."""
+        returns each stream's next-word probabilities [vocab]. Raises
+        ValueError for a word outside VOCAB_SIZES or a step past the track."""
         t = self.t
+        if t == self.steps:
+            raise ValueError(f"the condition track ends after {t} steps")
+        for s, word, vocab in zip(STREAM_NAMES, words, VOCAB_SIZES, strict=True):
+            if not 0 <= word < vocab:
+                raise ValueError(f"{s} word {word} is outside its vocabulary of {vocab}")
         self.t += 1
         hs, cs, z = self.hs, self.cs, self.z
         for (word_cols, cond_gates), word, zs in zip(self.inputs, words, z):

@@ -81,6 +81,8 @@ def tsne_embed(vectors, perplexity=5.0, iterations=500, rng=None):
     n = len(X)
     if n < 3:
         raise ValueError(f"t-SNE needs at least 3 points, got {n}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("t-SNE needs finite feature vectors, got NaN or infinity")
     if not (np.isfinite(perplexity) and perplexity > 0):
         raise ValueError(f"perplexity must be positive and finite, got {perplexity}")
     if iterations < 1:

@@ -232,6 +232,42 @@ def test_embed_zero_iterations_rejected(tmp_path, capsys):
     assert not (tmp_path / "map.csv").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"bars": [{"num": 4, "den": 4, "bpm": float("nan"), "phrase": "mid"}]},
+     "tempo must be positive and finite, got nan"),
+    ({"bars": [{"num": 4, "den": 4, "bpm": True, "phrase": "mid"}]},
+     "tempo must be positive and finite, got True"),
+    ({"bars": [{"num": 4.5, "den": 4, "bpm": 120.0, "phrase": "mid"}]},
+     "bar numerator must be an int, got 4.5"),
+    ({"bars": [{"num": 4, "den": True, "bpm": 120.0, "phrase": "mid"}]},
+     "bar denominator must be an int, got True"),
+    ({"title": "no bars"}, "lacks the key 'bars'"),
+])
+def test_features_rejects_malformed_song_file(tmp_path, capsys, doc, message):
+    (tmp_path / "song.json").write_text(json.dumps(doc))
+    code = run_cli(["features", str(tmp_path / "song.json"), "--out", str(tmp_path / "f.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "song.json" in err and message in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda vec: np.where(np.arange(len(vec)) == 3, np.nan, vec), "finite feature vectors"),
+    (lambda vec: vec[:-1], "f.csv, line 3: 15 columns, the header has 16"),
+])
+def test_embed_rejects_malformed_feature_rows(tmp_path, capsys, damage, message):
+    rows = [(f"p{i}", "g", np.random.default_rng(i).normal(size=len(GLOBAL_FEATURE_NAMES)))
+            for i in range(5)]
+    rows[1] = (*rows[1][:2], damage(rows[1][2]))
+    write_features_csv(tmp_path / "f.csv", rows)
+    code = run_cli(["embed", str(tmp_path / "f.csv"), "--perplexity", "2",
+                    "--out", str(tmp_path / "map.csv")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "map.csv").exists()
+
+
 def test_gradcheck_passes(capsys):
     assert run_cli(["gradcheck", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

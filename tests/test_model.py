@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from drumgen import layers as dl
 from drumgen import model as dm
-from drumgen.autodiff import Tape, Tensor, backward, finite_diff_check
+from drumgen.autodiff import Tape, backward, finite_diff_check
 from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES, EncodedSequence,
                               condition_windows, encode_sequence, quantize_song)
 from drumgen.model import (ModelConfig, ModelParams, Optimizer,
@@ -160,10 +160,7 @@ def test_post_window_changes_outputs_but_not_states():
     out_b = forward_step(params, [1, 2, 3], np.zeros(31), post_b, state_b)
 
     assert any(not np.allclose(a.data, b.data) for a, b in zip(out_a, out_b))
-    for s in STREAM_NAMES:
-        for (ha, ca), (hb, cb) in zip(state_a[s], state_b[s]):
-            npt.assert_array_equal(ha.data, hb.data)
-            npt.assert_array_equal(ca.data, cb.data)
+    npt.assert_array_equal(dm.detach_state(state_a), dm.detach_state(state_b))
 
 
 def test_loss_decreases_after_one_optimizer_step(tiny_corpus):
@@ -374,10 +371,7 @@ def test_lane_batch_matches_tape_path(tiny_corpus, dropout):
     npt.assert_allclose(lane[0], tape[0], rtol=1e-12)
     assert sorted(lane[1]) == sorted(tape[1]) == [0, 1, 2]
     for key in tape[1]:
-        for s in STREAM_NAMES:
-            for (h1, c1), (h2, c2) in zip(lane[1][key][s], tape[1][key][s]):
-                npt.assert_allclose(h1.data, h2.data, rtol=0, atol=1e-12)
-                npt.assert_allclose(c1.data, c2.data, rtol=0, atol=1e-12)
+        npt.assert_allclose(lane[1][key], tape[1][key], rtol=0, atol=1e-12)
     for name, g in tape[2].items():
         assert np.any(g != 0.0), name
         err = np.max(np.abs(lane[2][name] - g)) / np.max(np.abs(g))
@@ -407,8 +401,7 @@ def lane_batches(draw):
         for n in lengths:
             batch.append((key, seq, start, start + n))
             start += n
-        carry[key] = {s: [[Tensor(rng.normal(size=cfg.hidden)), Tensor(rng.normal(size=cfg.hidden))]
-                          for _ in range(cfg.lstm_layers)] for s in STREAM_NAMES}
+        carry[key] = rng.normal(size=(2, cfg.lstm_layers, 3, cfg.hidden))
     return cfg, batch, carry, draw(st.booleans())
 
 
@@ -428,10 +421,8 @@ def test_lane_batch_matches_tape_path_on_drawn_batches(case):
     npt.assert_allclose(lane[0], tape[0], rtol=1e-12)
     assert sorted(lane[1]) == sorted(tape[1]) == sorted(carry)
     for key in tape[1]:
-        for s in STREAM_NAMES:
-            for (h1, c1), (h2, c2) in zip(lane[1][key][s], tape[1][key][s], strict=True):
-                npt.assert_allclose(h1.data, h2.data, rtol=0, atol=1e-12)
-                npt.assert_allclose(c1.data, c2.data, rtol=0, atol=1e-12)
+        assert lane[1][key].shape == tape[1][key].shape == carry[key].shape
+        npt.assert_allclose(lane[1][key], tape[1][key], rtol=0, atol=1e-12)
     for name, g in tape[2].items():
         assert np.max(np.abs(lane[2][name] - g)) <= 1e-10 * np.max(np.abs(g)), name
     assert lane[3] == tape[3]
@@ -471,15 +462,28 @@ def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monk
     assert grouped[0] == single[0]
     assert list(grouped[1]) == list(single[1]) == [0, 1, 2]
     for key in grouped[1]:
-        assert list(grouped[1][key]) == list(single[1][key]) == list(STREAM_NAMES)
-        for s in STREAM_NAMES:
-            for (h1, c1), (h2, c2) in zip(grouped[1][key][s], single[1][key][s], strict=True):
-                npt.assert_array_equal(h1.data, h2.data)
-                npt.assert_array_equal(c1.data, c2.data)
+        npt.assert_array_equal(grouped[1][key], single[1][key])
     for name, g in grouped[2].items():
         assert np.any(g != 0.0), name
         npt.assert_array_equal(single[2][name].view(np.uint64), g.view(np.uint64))
     assert grouped[3] == single[3]
+
+
+def test_lane_path_carries_state_as_arrays_without_tensors(tiny_corpus, monkeypatch):
+    """Ragged lanes and a carried piece run without one autodiff Tensor, and
+    every end state is one [2, layers, 3, hidden] array."""
+    params = ModelParams(tiny_config(hidden=5, lstm_layers=3), np.random.default_rng(10))
+    carry = {0: np.random.default_rng(11).normal(size=(2, 3, 3, 5))}
+
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("the lane path built an autodiff Tensor")
+    monkeypatch.setattr(dm, "Tensor", no_tensor)
+    a, b = tiny_corpus
+    batch = [(0, a, 8, 16), (1, b, 0, 8), (1, b, 8, 13), (2, a, 0, 5)]
+    losses, states = dm.lane_batch_backward(params, batch, carry, np.random.default_rng(12))
+    assert len(losses) == len(batch)
+    assert sorted(states) == [0, 1, 2]
+    assert {state.shape for state in states.values()} == {(2, 3, 3, 5)}
 
 
 @pytest.mark.parametrize("hidden, group", [(4, 3), (130, 1)])

@@ -335,6 +335,27 @@ def test_inference_run_matches_forward_step_on_drawn_models(hidden, layers, w_pa
         prev = np.array([rng.integers(vocab) for vocab in VOCAB_SIZES])
 
 
+@pytest.mark.parametrize("words, match", [((-1, 0, 0), "K word -1"), ((0, 8, 0), "H word 8"),
+                                          ((0, 0, 16), "T word 16")])
+def test_inference_step_rejects_word_outside_vocabulary(words, match):
+    cfg = ModelConfig(hidden=4)
+    run = InferenceRun(Weights(cfg, ModelParams(cfg, np.random.default_rng(0)).values),
+                       np.zeros((2, COND_DIM)))
+    with pytest.raises(ValueError, match=match):
+        run.step(np.array(words))
+    assert run.t == 0
+
+
+def test_inference_step_rejects_step_past_track_end():
+    cfg = ModelConfig(hidden=4)
+    run = InferenceRun(Weights(cfg, ModelParams(cfg, np.random.default_rng(0)).values),
+                       np.zeros((2, COND_DIM)))
+    for _ in range(2):
+        run.step(np.zeros(3, dtype=np.intp))
+    with pytest.raises(ValueError, match="ends after 2 steps"):
+        run.step(np.zeros(3, dtype=np.intp))
+
+
 @pytest.mark.parametrize("temperature", [0.01, 0.5, 1.0, 1.2])
 def test_generate_words_equal_tape_loop(temperature):
     ckpt = trained_checkpoint(2)
