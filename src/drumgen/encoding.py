@@ -350,10 +350,19 @@ def save_song(song, path):
 
 
 def load_song(path):
-    """The Song of a JSON file; raises ValueError, naming path, for a
-    missing key or a bar that Bar rejects."""
+    """The Song of a JSON file; raises ValueError, naming path, for a file
+    that is not JSON, a top level that is not a JSON object, bars that are
+    not a list of objects, a missing key or a bar that Bar rejects."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"song file {path} is not JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ValueError(f"song file {path}: the top level is not a JSON object")
+    bars = doc.get("bars", [])
+    if not isinstance(bars, list) or not all(isinstance(b, dict) for b in bars):
+        raise ValueError(f"song file {path}: 'bars' is not a list of JSON objects")
     try:
         return song_from_dict(doc)
     except KeyError as e:

@@ -140,7 +140,11 @@ def read_features_csv(path):
             if len(row) != len(header):
                 raise ValueError(f"features CSV {path}, line {r.line_num}: {len(row)} "
                                  f"columns, the header has {len(header)}")
-            rows.append((row[0], row[1], np.array([float(x) for x in row[2:]])))
+            try:
+                values = np.array([float(x) for x in row[2:]])
+            except ValueError as e:
+                raise ValueError(f"features CSV {path}, line {r.line_num}: {e}") from e
+            rows.append((row[0], row[1], values))
         return rows
 
 

@@ -155,10 +155,11 @@ def lstm_lanes_forward(layers, xs, h0, c0):
 
 def lstm_lanes_step(whs, z, h, c, h_out, c_out, rec):
     """One step of one LSTM layer for S streams of B lanes, in training and in
-    generation: adds each stream's h @ Wh.T (whs; h [S, B, hidden]) into the input
-    pre-activations z [S, B, 4*hidden] through the scratch rec of z's shape, turns z
-    into the gate activations in place and writes h_out and c_out, which may be h and c."""
-    n = h.shape[-1]
+    generation: adds each stream's h @ wh.T (whs; h [S, B, k] is the product's input,
+    not necessarily the state) into the input pre-activations z [S, B, 4*hidden] through
+    the scratch rec of z's shape, turns z into the gate activations in place and writes
+    h_out and c_out [S, B, hidden], hidden read from c; they may alias h and c."""
+    n = c.shape[-1]
     for wh, h_k, r in zip(whs, h, rec):
         np.matmul(h_k, wh.T, out=r)
     z += rec

@@ -361,12 +361,15 @@ class InferenceRun:
     What does not depend on the fed-back words is one GEMM over all steps,
     done here: the pre/post windows (prefix sums), pre-FF and post-FF,
     layer 1's condition columns plus bias, and each head's post-FF half
-    plus bias. A step gathers layer 1's word column, runs the upper
-    layers' input products per stream and each layer as one
-    lstm_lanes_step for all three streams (training's step, with one
-    lane), then the heads' h_top half on single rows. ckpt is a
-    Checkpoint or Weights; the weights are views of its values, checked
-    against its config. Probabilities match forward_step up to float
+    plus bias. A step gathers layer 1's word column, runs each layer as
+    one lstm_lanes_step for all three streams (training's step, with one
+    lane), then the heads' h_top half on single rows. A layer above the
+    first multiplies [h below, h] by its own copy of [Wx | Wh], [4h, 2h]
+    per stream, so the step's input h is not the layer's state: each
+    stream's h for all layers sits side by side in hs [3, 1, layers*h],
+    and [h below, h] is a view. ckpt is a Checkpoint or Weights, checked
+    against its config; its values are only read, and the other weights
+    are views of them. Probabilities match forward_step up to float
     rounding.
     """
 
@@ -379,15 +382,19 @@ class InferenceRun:
         pre_out = linear_rows(pre, w["pre_ff.W"], w["pre_ff.b"])
         post_out = linear_rows(post, w["post_ff.W"], w["post_ff.b"])
         self.t, self.steps = 0, len(cond)
-        # per layer, each stream's (Wx, Wh, bias); layer 1's Wx is unused
-        self.layers = [[(w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"], w[f"{s}.lstm{li}.bias"])
-                        for s in STREAM_NAMES] for li in range(1, cfg.lstm_layers + 1)]
-        self.inputs = [(wx1[:, :vocab].T, linear_rows(pre_out, wx1[:, vocab:], bias1))
-                       for vocab, (wx1, _, bias1) in zip(VOCAB_SIZES, self.layers[0])]
+        self.inputs = [(w[f"{s}.lstm1.Wx"][:, :vocab].T,
+                        linear_rows(pre_out, w[f"{s}.lstm1.Wx"][:, vocab:], w[f"{s}.lstm1.bias"]))
+                       for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES)]
+        # per layer, each stream's product matrix and the stacked bias [3, 1, 4h] (layer 1: none)
+        self.layers = [([w[f"{s}.lstm1.Wh"] for s in STREAM_NAMES], None)] + [
+            ([np.hstack([w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"]]) for s in STREAM_NAMES],
+             np.stack([w[f"{s}.lstm{li}.bias"] for s in STREAM_NAMES])[:, None])
+            for li in range(2, cfg.lstm_layers + 1)]
         self.heads = [(w[f"{s}.head.W"][:, :h],
                        linear_rows(post_out, w[f"{s}.head.W"][:, h:], w[f"{s}.head.b"]))
                       for s in STREAM_NAMES]
-        self.hs, self.cs = np.zeros((2, cfg.lstm_layers, len(STREAM_NAMES), 1, h))
+        self.hs = np.zeros((len(STREAM_NAMES), 1, cfg.lstm_layers * h))
+        self.cs = np.zeros((cfg.lstm_layers, len(STREAM_NAMES), 1, h))
         self.z, self.rec = np.empty((2, len(STREAM_NAMES), 1, 4 * h))
 
     def step(self, words):
@@ -401,17 +408,16 @@ class InferenceRun:
             if not 0 <= word < vocab:
                 raise ValueError(f"{s} word {word} is outside its vocabulary of {vocab}")
         self.t += 1
-        hs, cs, z = self.hs, self.cs, self.z
+        hs, cs, z, n = self.hs, self.cs, self.z, self.cs.shape[-1]
         for (word_cols, cond_gates), word, zs in zip(self.inputs, words, z):
             np.add(cond_gates[t:t + 1], word_cols[word], out=zs)
-        for li, layer in enumerate(self.layers):
+        for li, (mats, bias) in enumerate(self.layers):
             if li:
-                for (wx, _, bias), h_below, z_s in zip(layer, hs[li - 1], z):
-                    np.matmul(h_below, wx.T, out=z_s)
-                    z_s += bias
-            lstm_lanes_step([wh for _, wh, _ in layer], z, hs[li], cs[li], hs[li], cs[li], self.rec)
+                z[...] = bias
+            lstm_lanes_step(mats, z, hs[..., max(li - 1, 0) * n:(li + 1) * n], cs[li],
+                            hs[..., li * n:(li + 1) * n], cs[li], self.rec)
         return [softmax_rows_inplace(linear_rows(h_top, head_top, head_post[t]))[0]
-                for h_top, (head_top, head_post) in zip(hs[-1], self.heads)]
+                for h_top, (head_top, head_post) in zip(hs[..., -n:], self.heads)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the per-criterion lines as they happen.
 
 import hashlib
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -366,7 +367,7 @@ def test_criterion_11_determinism_and_persistence(verdict, tmp_path):
             for f in files:
                 p = os.path.join(dirpath, f)
                 sums[os.path.relpath(p, root)] = hashlib.sha256(
-                    open(p, "rb").read()).hexdigest()
+                    pathlib.Path(p).read_bytes()).hexdigest()
         return sums
 
     identical = pipeline(tmp_path / "a") == pipeline(tmp_path / "b")

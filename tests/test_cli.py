@@ -28,8 +28,7 @@ def tree_checksums(root):
     for dirpath, _, files in os.walk(root):
         for f in files:
             p = os.path.join(dirpath, f)
-            out[os.path.relpath(p, root)] = \
-                hashlib.sha256(open(p, "rb").read()).hexdigest()
+            out[os.path.relpath(p, root)] = hashlib.sha256(Path(p).read_bytes()).hexdigest()
     return out
 
 
@@ -242,9 +241,13 @@ def test_embed_zero_iterations_rejected(tmp_path, capsys):
     ({"bars": [{"num": 4, "den": True, "bpm": 120.0, "phrase": "mid"}]},
      "bar denominator must be an int, got True"),
     ({"title": "no bars"}, "lacks the key 'bars'"),
+    ([{"bars": []}], "the top level is not a JSON object"),
+    ({"bars": [[4, 4, 120.0, "mid"]]}, "'bars' is not a list of JSON objects"),
+    ({"bars": 4}, "'bars' is not a list of JSON objects"),
+    ('{"bars": [', "is not JSON: Expecting value"),  # text, written as is
 ])
 def test_features_rejects_malformed_song_file(tmp_path, capsys, doc, message):
-    (tmp_path / "song.json").write_text(json.dumps(doc))
+    (tmp_path / "song.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code = run_cli(["features", str(tmp_path / "song.json"), "--out", str(tmp_path / "f.csv")])
     err = capsys.readouterr().err
     assert code == 1
@@ -265,6 +268,21 @@ def test_embed_rejects_malformed_feature_rows(tmp_path, capsys, damage, message)
                     "--out", str(tmp_path / "map.csv")])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "map.csv").exists()
+
+
+def test_embed_rejects_non_numeric_feature_value(tmp_path, capsys):
+    rows = [(f"p{i}", "g", np.random.default_rng(i).normal(size=len(GLOBAL_FEATURE_NAMES)))
+            for i in range(5)]
+    write_features_csv(tmp_path / "f.csv", rows)
+    lines = (tmp_path / "f.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join(cells[:3] + ["abc"] + cells[4:])
+    (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
+    code = run_cli(["embed", str(tmp_path / "f.csv"), "--perplexity", "2",
+                    "--out", str(tmp_path / "map.csv")])
+    assert code == 1
+    assert "f.csv, line 3: could not convert string to float: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "map.csv").exists()
 
 

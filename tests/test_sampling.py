@@ -309,6 +309,16 @@ def test_inference_run_matches_forward_step(layers):
     assert worst <= 1e-12
 
 
+def model_with_random_heads(cfg, rng):
+    """ModelParams drawn from rng, heads included: zero heads would give
+    uniform rows whatever the stack does."""
+    params = ModelParams(cfg, rng)
+    for s in STREAM_NAMES:
+        params.heads[s].W.data[...] = rng.normal(size=params.heads[s].W.data.shape)
+        params.heads[s].b.data[...] = rng.normal(size=params.heads[s].b.data.shape)
+    return params
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(hidden=st.integers(1, 8), layers=st.integers(1, 3), w_past=st.integers(0, 8),
        w_future=st.integers(0, 8), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
@@ -318,10 +328,7 @@ def test_inference_run_matches_forward_step_on_drawn_models(hidden, layers, w_pa
     and fed-back words; every step's probabilities within 1e-12."""
     cfg = ModelConfig(hidden=hidden, lstm_layers=layers, w_past=w_past, w_future=w_future)
     rng = np.random.default_rng(seed)
-    params = ModelParams(cfg, rng)
-    for s in STREAM_NAMES:  # zero heads would give uniform rows whatever the stack does
-        params.heads[s].W.data[...] = rng.normal(size=params.heads[s].W.data.shape)
-        params.heads[s].b.data[...] = rng.normal(size=params.heads[s].b.data.shape)
+    params = model_with_random_heads(cfg, rng)
     cond = (rng.random((steps, COND_DIM)) < 0.3).astype(np.float64)
     run = InferenceRun(Weights(cfg, params.values), cond)
     state = params.zero_state()
@@ -333,6 +340,39 @@ def test_inference_run_matches_forward_step_on_drawn_models(hidden, layers, w_pa
         for si in range(3):
             npt.assert_allclose(fast[si], tape[si].data, rtol=0, atol=1e-12)
         prev = np.array([rng.integers(vocab) for vocab in VOCAB_SIZES])
+
+
+def test_inference_run_matches_forward_step_where_blas_threads():
+    """At hidden 256 the upper layer's [1024 x 512] product is large enough for
+    OpenBLAS to split it across threads: 8 steps within 1e-12 of forward_step,
+    and two runs equal bit for bit."""
+    cfg = ModelConfig(hidden=256)
+    rng = np.random.default_rng(5)
+    params = model_with_random_heads(cfg, rng)
+    cond = (rng.random((8, COND_DIM)) < 0.3).astype(np.float64)
+    runs = [InferenceRun(Weights(cfg, params.values), cond) for _ in range(2)]
+    state = params.zero_state()
+    prev = np.zeros(3, dtype=np.intp)
+    for t in range(len(cond)):
+        tape = forward_step(params, prev, window_pre(cond, t, cfg.w_past),
+                            window_post(cond, t, cfg.w_future), state)
+        first, second = [run.step(prev) for run in runs]
+        for si in range(3):
+            npt.assert_allclose(first[si], tape[si].data, rtol=0, atol=1e-12)
+            npt.assert_array_equal(second[si], first[si])
+        prev = np.array([rng.integers(vocab) for vocab in VOCAB_SIZES])
+
+
+def test_inference_run_only_reads_the_checkpoint():
+    """The upper layers' [Wx | Wh] matrices are copies, never writes into values."""
+    cfg = ModelConfig(hidden=4, lstm_layers=3)
+    values = ModelParams(cfg, np.random.default_rng(0)).values
+    before = values.copy()
+    values.flags.writeable = False
+    run = InferenceRun(Weights(cfg, values), np.ones((3, COND_DIM)))
+    for _ in range(3):
+        run.step(np.zeros(3, dtype=np.intp))
+    npt.assert_array_equal(values, before)
 
 
 @pytest.mark.parametrize("words, match", [((-1, 0, 0), "K word -1"), ((0, 8, 0), "H word 8"),
