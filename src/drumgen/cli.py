@@ -150,7 +150,11 @@ def _collect_song_paths(inputs):
             manifest = os.path.join(item, "manifest.json")
             if os.path.exists(manifest):
                 with open(manifest) as fh:
-                    names = json.load(fh)["files"]
+                    try:
+                        names = json.load(fh)["files"]
+                    except (ValueError, KeyError, TypeError) as e:
+                        raise ValueError(f"corpus manifest {manifest} is not a JSON object "
+                                         f"with a 'files' list: {e!r}") from e
                 paths += [os.path.join(item, n) for n in names]
             else:
                 paths += sorted(p for p in glob.glob(os.path.join(item, "*.json")))
@@ -181,9 +185,13 @@ def cmd_train(args):
     mc = dm_model.ModelConfig(hidden=s.hidden, dropout=s.dropout, w_past=s.wpast,
                               w_future=s.wfuture, learning_rate=s.learning_rate,
                               seq_len=s.seq_len, batch_size=s.batch_size)
-    songs = [load_song(p) for p in _collect_song_paths(args.corpus)]
-    corpus = [encode_sequence(quantize_song(song), mc.w_past, mc.w_future)
-              for song in songs]
+    corpus = []
+    for path in _collect_song_paths(args.corpus):
+        song = load_song(path)
+        try:
+            corpus.append(encode_sequence(quantize_song(song), mc.w_past, mc.w_future))
+        except ValueError as e:  # an unsupported time signature, say
+            raise ValueError(f"song file {path}: {e}") from e
     checkpoints = dm_model.train(corpus, mc, s.epochs, s.snapshots, seed=s.seed,
                                  log_every=s.log_every)
 
@@ -208,7 +216,10 @@ def cmd_generate(args):
                                    rng_seed=s.seed)
     weights = dm_model.load_weights(args.checkpoint)
     song = load_song(args.conditions)
-    track = sampling.condition_track_from_song(song)
+    try:
+        track = sampling.condition_track_from_song(song)
+    except ValueError as e:  # an unsupported time signature, say
+        raise ValueError(f"song file {args.conditions}: {e}") from e
     words = sampling.generate(weights, track, gc)
     out_song = Song(title=f"{song.title}+generated", bars=song.bars,
                     guitar=song.guitar, bass=song.bass,

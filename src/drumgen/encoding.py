@@ -275,12 +275,10 @@ def check_cond(cond, what):
 
 @dataclass
 class EncodedSequence:
-    """Aligned per-step training arrays for one piece.
-
-    inputs[t] are the word indices at t-1 (silence words at t=0) and
-    targets[t] the words at t, one column per stream.
+    """Aligned per-step training arrays for one piece: targets[t] are the
+    word indices at t, one column per stream. The inputs and the condition
+    windows are derived from them and from cond on every read (not stored).
     """
-    inputs: np.ndarray      # [T x 3] int
     targets: np.ndarray     # [T x 3] int
     cond: np.ndarray        # [T x 31]
     w_past: int
@@ -293,6 +291,8 @@ class EncodedSequence:
         """(pre, post), [T x 31] each, derived from cond on every call (not stored)."""
         return condition_windows(self.cond, self.w_past, self.w_future)
 
+    inputs = property(lambda self: np.vstack([np.zeros_like(self.targets[:1]), self.targets[:-1]]),
+                      doc="the words at t-1 at every step t, silence words (0) at t = 0")
     pre = property(lambda self: self.windows()[0], doc="window_pre at every step")
     post = property(lambda self: self.windows()[1], doc="window_post at every step")
 
@@ -302,10 +302,7 @@ def encode_sequence(grid, w_p=4, w_f=4):
         raise ValueError("empty grid")
     if not all(type(w) is int and w >= 0 for w in (w_p, w_f)):
         raise ValueError(f"window lengths must be non-negative ints, got {w_p!r}, {w_f!r}")
-    targets = grid_words(grid)
-    inputs = np.zeros_like(targets)
-    inputs[1:] = targets[:-1]
-    return EncodedSequence(inputs, targets, condition_matrix(grid), w_p, w_f)
+    return EncodedSequence(grid_words(grid), condition_matrix(grid), w_p, w_f)
 
 
 def decode_words(words):
@@ -352,7 +349,8 @@ def save_song(song, path):
 def load_song(path):
     """The Song of a JSON file; raises ValueError, naming path, for a file
     that is not JSON, a top level that is not a JSON object, bars that are
-    not a list of objects, a missing key or a bar that Bar rejects."""
+    not a list of objects, a missing key, a bar that Bar rejects, or an
+    event list or event of another form than song_to_dict writes."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -363,6 +361,16 @@ def load_song(path):
     bars = doc.get("bars", [])
     if not isinstance(bars, list) or not all(isinstance(b, dict) for b in bars):
         raise ValueError(f"song file {path}: 'bars' is not a list of JSON objects")
+    for track, width in (("guitar", 3), ("bass", 3), ("drums", 2)):
+        events = doc.get(track, [])
+        if not isinstance(events, list) or not all(isinstance(ev, list) for ev in events):
+            raise ValueError(f"song file {path}: '{track}' is not a list of lists")
+        for ev in events:
+            numbers, names = (ev[:1], ev[1:]) if width == 2 else (ev, [])
+            if len(ev) != width or not all(n in COMPONENTS for n in names) or not all(
+                    type(x) in (int, float) and math.isfinite(x) for x in numbers):
+                form = "[step, component]" if width == 2 else "[step, duration, pitch]"
+                raise ValueError(f"song file {path}: {track} event {ev!r} is not {form}")
     try:
         return song_from_dict(doc)
     except KeyError as e:

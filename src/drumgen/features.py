@@ -132,7 +132,7 @@ def write_features_csv(path, rows):
 def read_features_csv(path):
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])  # [] for an empty file
         if tuple(header[2:]) != GLOBAL_FEATURE_NAMES:
             raise ValueError(f"unexpected features CSV header in {path}")
         rows = []

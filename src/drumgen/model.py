@@ -135,8 +135,8 @@ class ModelParams:
 
 
 def detach_state(state):
-    """Tape state {stream: [[h, c] per layer]} as a history-free [2, layers, 3, hidden] array."""
-    return np.array([[[h.data, c.data] for h, c in state[s]] for s in STREAM_NAMES]).swapaxes(0, 2)
+    """Tape state {stream: [[h, c] per layer]} as a history-free [2, 3, layers*hidden] array."""
+    return np.stack([np.hstack([[h.data, c.data] for h, c in state[s]]) for s in STREAM_NAMES], 1)
 
 
 def forward_step(params, input_words, pre_vec, post_vec, state,
@@ -176,14 +176,15 @@ def sequence_loss(params, seq, start=0, end=None, training=False, rng=None,
         end = len(seq)
     if end - start < 1:
         raise ValueError("sequence slice must contain at least one step")
+    cfg = params.config
     if state is None:
-        state = np.zeros((2, params.config.lstm_layers, 3, params.config.hidden))
-    state = {s: [[Tensor(h), Tensor(c)] for h, c in zip(*state[:, :, si])]
+        state = np.zeros((2, 3, cfg.lstm_layers * cfg.hidden))
+    state = {s: [[Tensor(h), Tensor(c)] for h, c in np.split(state[:, si], cfg.lstm_layers, axis=1)]
              for si, s in enumerate(STREAM_NAMES)}
-    pre, post = condition_windows(seq.cond, params.config.w_past, params.config.w_future)
+    pre, post = condition_windows(seq.cond, cfg.w_past, cfg.w_future)
     total = None
-    for t in range(start, end):
-        probs = forward_step(params, seq.inputs[t], pre[t], post[t],
+    for t, words in enumerate(seq.inputs[start:end], start):
+        probs = forward_step(params, words, pre[t], post[t],
                              state, training, rng)
         step_loss = ad.cross_entropy(probs[0], int(seq.targets[t][0]))
         for si in (1, 2):
@@ -255,8 +256,8 @@ def _wave(params, slices, states, keeps):
     d_pre = np.zeros_like(pre_out)
     d_post = np.zeros_like(post_out)
     ce = np.zeros(rows)
-    # [2, layers, 3, lanes, h]: start states, each layer's then overwritten by its end states
-    state = np.stack([np.zeros((2, cfg.lstm_layers, 3, h)) if x is None else x for x in states], 3)
+    # [2, 3, lanes, layers*h]: start states, each layer's then overwritten by its end states
+    state = np.stack([np.zeros((2, 3, cfg.lstm_layers * h)) if x is None else x for x in states], 2)
     # each stream's mask columns: its layers' inputs, then its top output
     cols = [[next(columns) for _ in range(cfg.lstm_layers + 1)] for _ in STREAM_NAMES]
     for group in [(0, 1, 2)] if h <= STACK_STREAMS_MAX_HIDDEN else [(0,), (1,), (2,)]:
@@ -267,11 +268,12 @@ def _wave(params, slices, states, keeps):
             if li:
                 xs = [y[1:].reshape(rows, h).copy() for y in hs]
             xs = [drop(x, cols[si][li]).reshape(steps, lanes, -1) for x, si in zip(xs, group)]
-            h0, c0 = state[:, li, group]
+            h0, c0 = state[:, group, :, li * h:(li + 1) * h]
             layers = [params.lstm_stacks[s][li] for s in names]
             caches.append(lstm_lanes_forward(layers, xs, h0, c0)[2])
             hs, cs = caches[-1][2:]
-            state[:, li, group] = hs[:, lengths, range(lanes)], cs[:, lengths, range(lanes)]
+            state[:, group, :, li * h:(li + 1) * h] = \
+                hs[:, lengths, range(lanes)], cs[:, lengths, range(lanes)]
         dh = np.empty((len(group), rows, h))
         for k, (si, s) in enumerate(zip(group, names)):
             top = drop(hs[k, 1:].reshape(rows, h).copy(), cols[si][-1])
@@ -297,7 +299,7 @@ def _wave(params, slices, states, keeps):
     for row in ce[1:]:
         total += row
     return ([float(total[j] * (1.0 / n)) for j, n in enumerate(lengths)],
-            [state[..., j, :] for j in range(lanes)])
+            [state[:, :, j] for j in range(lanes)])
 
 
 def lane_batch_backward(params, batch, carry, rng):
@@ -365,12 +367,12 @@ class InferenceRun:
     one lstm_lanes_step for all three streams (training's step, with one
     lane), then the heads' h_top half on single rows. A layer above the
     first multiplies [h below, h] by its own copy of [Wx | Wh], [4h, 2h]
-    per stream, so the step's input h is not the layer's state: each
-    stream's h for all layers sits side by side in hs [3, 1, layers*h],
-    and [h below, h] is a view. ckpt is a Checkpoint or Weights, checked
-    against its config; its values are only read, and the other weights
-    are views of them. Probabilities match forward_step up to float
-    rounding.
+    per stream, so the step's input h is not the layer's state. hs and cs
+    are the halves of one [2, 3, 1, layers*h] array, training's state with
+    one lane: each stream's layers side by side, so [h below, h] is a view
+    of hs. ckpt is a Checkpoint or Weights, checked against its config;
+    its values are only read, and the other weights are views of them.
+    Probabilities match forward_step up to float rounding.
     """
 
     def __init__(self, ckpt, cond):
@@ -393,8 +395,7 @@ class InferenceRun:
         self.heads = [(w[f"{s}.head.W"][:, :h],
                        linear_rows(post_out, w[f"{s}.head.W"][:, h:], w[f"{s}.head.b"]))
                       for s in STREAM_NAMES]
-        self.hs = np.zeros((len(STREAM_NAMES), 1, cfg.lstm_layers * h))
-        self.cs = np.zeros((cfg.lstm_layers, len(STREAM_NAMES), 1, h))
+        self.hs, self.cs = np.zeros((2, len(STREAM_NAMES), 1, cfg.lstm_layers * h))
         self.z, self.rec = np.empty((2, len(STREAM_NAMES), 1, 4 * h))
 
     def step(self, words):
@@ -408,14 +409,15 @@ class InferenceRun:
             if not 0 <= word < vocab:
                 raise ValueError(f"{s} word {word} is outside its vocabulary of {vocab}")
         self.t += 1
-        hs, cs, z, n = self.hs, self.cs, self.z, self.cs.shape[-1]
+        hs, cs, z, n = self.hs, self.cs, self.z, self.z.shape[-1] // 4
         for (word_cols, cond_gates), word, zs in zip(self.inputs, words, z):
             np.add(cond_gates[t:t + 1], word_cols[word], out=zs)
         for li, (mats, bias) in enumerate(self.layers):
             if li:
                 z[...] = bias
-            lstm_lanes_step(mats, z, hs[..., max(li - 1, 0) * n:(li + 1) * n], cs[li],
-                            hs[..., li * n:(li + 1) * n], cs[li], self.rec)
+            c = cs[..., li * n:(li + 1) * n]
+            lstm_lanes_step(mats, z, hs[..., max(li - 1, 0) * n:(li + 1) * n], c,
+                            hs[..., li * n:(li + 1) * n], c, self.rec)
         return [softmax_rows_inplace(linear_rows(h_top, head_top, head_post[t]))[0]
                 for h_top, (head_top, head_post) in zip(hs[..., -n:], self.heads)]
 
@@ -581,15 +583,14 @@ def _slice_ranges(n, seq_len):
 
 
 def _check_piece(seq, config, index):
-    """Raise ValueError unless piece index has words (encoding.check_words)
+    """Raise ValueError unless piece index has target words (encoding.check_words)
     and cond (check_cond) of one length, and the windows of config."""
     steps = len(seq)
     if steps == 0:
         raise ValueError(f"piece {index} is empty")
-    for name in ("inputs", "targets"):
-        check_words(getattr(seq, name), f"words in piece {index}: {name}", steps)
-    if len(seq.inputs) != steps or len(check_cond(seq.cond, f"piece {index}: cond")) != steps:
-        raise ValueError(f"piece {index}: inputs, targets and cond must have {steps} rows")
+    check_words(seq.targets, f"words in piece {index}: targets", steps)
+    if len(check_cond(seq.cond, f"piece {index}: cond")) != steps:
+        raise ValueError(f"piece {index}: targets and cond must have {steps} rows")
     if (seq.w_past, seq.w_future) != (config.w_past, config.w_future) or \
             not all(type(w) is int for w in (seq.w_past, seq.w_future)):
         raise ValueError(f"piece {index}: pre/post windows of w_past={seq.w_past}, "

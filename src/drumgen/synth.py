@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import COMPONENTS, Bar, Song, tempo_bin, song_to_dict
+from .encoding import COMPONENTS, Bar, Song, tempo_bin, save_song
 from .ioutil import atomic_write_text
 
 _CI = {c: i for i, c in enumerate(COMPONENTS)}
@@ -150,7 +150,7 @@ def synth_corpus(style, config, out_dir):
     paths = []
     for i, song in enumerate(songs):
         path = os.path.join(out_dir, f"{style.name}-{i:03d}.json")
-        atomic_write_text(path, json.dumps(song_to_dict(song), indent=1, sort_keys=True))
+        save_song(song, path)
         paths.append(path)
     manifest = {
         "style": style.name,

@@ -231,6 +231,9 @@ def test_embed_zero_iterations_rejected(tmp_path, capsys):
     assert not (tmp_path / "map.csv").exists()
 
 
+BAR_4_4 = {"num": 4, "den": 4, "bpm": 120.0, "phrase": "mid"}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"bars": [{"num": 4, "den": 4, "bpm": float("nan"), "phrase": "mid"}]},
      "tempo must be positive and finite, got nan"),
@@ -245,6 +248,13 @@ def test_embed_zero_iterations_rejected(tmp_path, capsys):
     ({"bars": [[4, 4, 120.0, "mid"]]}, "'bars' is not a list of JSON objects"),
     ({"bars": 4}, "'bars' is not a list of JSON objects"),
     ('{"bars": [', "is not JSON: Expecting value"),  # text, written as is
+    ({"bars": [BAR_4_4], "drums": [[0]]}, "drums event [0] is not [step, component]"),
+    ({"bars": [BAR_4_4], "guitar": [[0, 1]]}, "guitar event [0, 1] is not [step, duration, pitch]"),
+    ({"bars": [BAR_4_4], "guitar": 5}, "'guitar' is not a list of lists"),
+    ({"bars": [BAR_4_4], "drums": [["a", "kick"]]},
+     "drums event ['a', 'kick'] is not [step, component]"),
+    ({"bars": [BAR_4_4], "bass": [[0, 1, "x"]]},
+     "bass event [0, 1, 'x'] is not [step, duration, pitch]"),
 ])
 def test_features_rejects_malformed_song_file(tmp_path, capsys, doc, message):
     (tmp_path / "song.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -253,6 +263,48 @@ def test_features_rejects_malformed_song_file(tmp_path, capsys, doc, message):
     assert code == 1
     assert "song.json" in err and message in err
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_embed_rejects_empty_features_file(tmp_path, capsys):
+    (tmp_path / "f.csv").write_text("")
+    code = run_cli(["embed", str(tmp_path / "f.csv"), "--out", str(tmp_path / "map.csv")])
+    assert code == 1
+    assert "unexpected features CSV header in" in capsys.readouterr().err
+    assert not (tmp_path / "map.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"style": "synthrock"}', "KeyError('files')"),
+    ('{"files": [', "JSONDecodeError"),
+    ('["a.json"]', "TypeError"),
+])
+def test_corpus_manifest_malformed_is_named(tmp_path, capsys, text, message):
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "manifest.json").write_text(text)
+    code = run_cli(["train", str(tmp_path / "corpus"), "--epochs", "1", "--out",
+                    str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "corpus manifest " in err and "manifest.json is not a JSON object" in err
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_unsupported_time_signature_names_the_song_file(pipeline, tmp_path, capsys, command):
+    """A 3/16 bar is a valid Bar that the condition vector cannot encode:
+    features accepts it, train and generate name the file they reject."""
+    song = tmp_path / "odd.json"
+    song.write_text(json.dumps({"bars": [{"num": 3, "den": 16, "bpm": 120.0, "phrase": "mid"}]}))
+    argv = (["train", str(song), "--epochs", "1"] if command == "train" else
+            ["generate", "--checkpoint", str(pipeline / "run" / "checkpoint_epoch_0002.json"),
+             "--conditions", str(song), "--seed-steps", "1"])
+    code = run_cli(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "odd.json" in err and "time signature 3/16 not in the supported list" in err
+    assert not (tmp_path / "out").exists()
+    assert run_cli(["features", str(song), "--out", str(tmp_path / "f.csv")]) == 0
 
 
 @pytest.mark.parametrize("damage, message", [

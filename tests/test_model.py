@@ -395,13 +395,13 @@ def lane_batches(draw):
         lengths = draw(st.lists(st.integers(1, 6), min_size=count, max_size=count))
         start = draw(st.integers(0, 4))
         steps = start + sum(lengths) + draw(st.integers(0, 2))
-        words = np.stack([rng.integers(vocab, size=steps + 1) for vocab in VOCAB_SIZES], axis=1)
+        words = np.stack([rng.integers(vocab, size=steps) for vocab in VOCAB_SIZES], axis=1)
         cond = (rng.random((steps, COND_DIM)) < 0.3).astype(np.float64)
-        seq = EncodedSequence(words[:-1], words[1:], cond, cfg.w_past, cfg.w_future)
+        seq = EncodedSequence(words, cond, cfg.w_past, cfg.w_future)
         for n in lengths:
             batch.append((key, seq, start, start + n))
             start += n
-        carry[key] = rng.normal(size=(2, cfg.lstm_layers, 3, cfg.hidden))
+        carry[key] = rng.normal(size=(2, 3, cfg.lstm_layers * cfg.hidden))
     return cfg, batch, carry, draw(st.booleans())
 
 
@@ -471,9 +471,9 @@ def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monk
 
 def test_lane_path_carries_state_as_arrays_without_tensors(tiny_corpus, monkeypatch):
     """Ragged lanes and a carried piece run without one autodiff Tensor, and
-    every end state is one [2, layers, 3, hidden] array."""
+    every end state is one [2, 3, layers*hidden] array."""
     params = ModelParams(tiny_config(hidden=5, lstm_layers=3), np.random.default_rng(10))
-    carry = {0: np.random.default_rng(11).normal(size=(2, 3, 3, 5))}
+    carry = {0: np.random.default_rng(11).normal(size=(2, 3, 15))}
 
     def no_tensor(*args, **kwargs):
         raise AssertionError("the lane path built an autodiff Tensor")
@@ -483,7 +483,23 @@ def test_lane_path_carries_state_as_arrays_without_tensors(tiny_corpus, monkeypa
     losses, states = dm.lane_batch_backward(params, batch, carry, np.random.default_rng(12))
     assert len(losses) == len(batch)
     assert sorted(states) == [0, 1, 2]
-    assert {state.shape for state in states.values()} == {(2, 3, 3, 5)}
+    assert {state.shape for state in states.values()} == {(2, 3, 15)}
+
+
+@pytest.mark.parametrize("hidden, layers", [(5, 3), (130, 2)])
+def test_training_carry_and_inference_state_share_one_layout(tiny_corpus, hidden, layers):
+    """After one slice, the carry of the lane path equals InferenceRun's
+    [hs, cs] fed the same words: streams grouped (hidden 5) and one at a
+    time (hidden 130)."""
+    params = ModelParams(tiny_config(hidden=hidden, lstm_layers=layers, dropout=0.0),
+                         np.random.default_rng(20))
+    seq = tiny_corpus[0]
+    _, carry = dm.lane_batch_backward(params, [(0, seq, 0, 20)], {}, np.random.default_rng(21))
+    run = dm.InferenceRun(dm.Weights(params.config, params.values), seq.cond)
+    for words in seq.inputs[:20]:
+        run.step(words)
+    assert carry[0].shape == (2, 3, layers * hidden)
+    npt.assert_allclose(carry[0], np.stack([run.hs, run.cs])[:, :, 0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("hidden, group", [(4, 3), (130, 1)])
@@ -567,16 +583,16 @@ def test_train_rejects_non_finite_window(tiny_corpus):
 
 def test_piece_stores_no_windows(tiny_corpus):
     seq = copy.deepcopy(tiny_corpus[0])
-    assert [f.name for f in dataclasses.fields(seq)] == \
-        ["inputs", "targets", "cond", "w_past", "w_future"]
-    with pytest.raises(AttributeError):
-        seq.pre = np.zeros_like(seq.cond)
+    assert [f.name for f in dataclasses.fields(seq)] == ["targets", "cond", "w_past", "w_future"]
+    for name in ("inputs", "pre"):
+        with pytest.raises(AttributeError):
+            setattr(seq, name, np.zeros_like(getattr(seq, name)))
     seq.cond[5] = 0.0  # an edit of cond shows in the windows at once
     npt.assert_array_equal(seq.pre, condition_windows(seq.cond, 4, 4)[0])
     npt.assert_array_equal(seq.post, condition_windows(seq.cond, 4, 4)[1])
 
 
-@pytest.mark.parametrize("name", ["inputs", "targets"])
+@pytest.mark.parametrize("name", ["targets"])
 def test_train_rejects_float_words(tiny_corpus, name):
     bad = copy.deepcopy(tiny_corpus[0])
     setattr(bad, name, getattr(bad, name) + 0.5)
@@ -585,10 +601,10 @@ def test_train_rejects_float_words(tiny_corpus, name):
 
 
 def test_train_rejects_words_and_cond_of_other_lengths(tiny_corpus):
-    for name in ("inputs", "cond"):
+    for name in ("targets", "cond"):
         bad = copy.deepcopy(tiny_corpus[0])
         setattr(bad, name, np.concatenate([getattr(bad, name)] * 2))
-        with pytest.raises(ValueError, match="piece 0: inputs, targets and cond must have"):
+        with pytest.raises(ValueError, match="piece 0: targets and cond must have"):
             train([bad], tiny_config(), epochs=1)
 
 
