@@ -165,6 +165,16 @@ def _collect_song_paths(inputs):
     return paths
 
 
+def _read_song(path, convert):
+    """(song, convert(song)) for the song file path; a ValueError from
+    convert (an event off the grid, an unsupported meter) names the file."""
+    song = load_song(path)
+    try:
+        return song, convert(song)
+    except ValueError as e:
+        raise ValueError(f"song file {path}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,13 +195,10 @@ def cmd_train(args):
     mc = dm_model.ModelConfig(hidden=s.hidden, dropout=s.dropout, w_past=s.wpast,
                               w_future=s.wfuture, learning_rate=s.learning_rate,
                               seq_len=s.seq_len, batch_size=s.batch_size)
-    corpus = []
-    for path in _collect_song_paths(args.corpus):
-        song = load_song(path)
-        try:
-            corpus.append(encode_sequence(quantize_song(song), mc.w_past, mc.w_future))
-        except ValueError as e:  # an unsupported time signature, say
-            raise ValueError(f"song file {path}: {e}") from e
+
+    def encode(song):
+        return encode_sequence(quantize_song(song), mc.w_past, mc.w_future)
+    corpus = [_read_song(path, encode)[1] for path in _collect_song_paths(args.corpus)]
     checkpoints = dm_model.train(corpus, mc, s.epochs, s.snapshots, seed=s.seed,
                                  log_every=s.log_every)
 
@@ -215,11 +222,7 @@ def cmd_generate(args):
     gc = sampling.GenerationConfig(temperature=s.temperature, seed_steps=s.seed_steps,
                                    rng_seed=s.seed)
     weights = dm_model.load_weights(args.checkpoint)
-    song = load_song(args.conditions)
-    try:
-        track = sampling.condition_track_from_song(song)
-    except ValueError as e:  # an unsupported time signature, say
-        raise ValueError(f"song file {args.conditions}: {e}") from e
+    song, track = _read_song(args.conditions, sampling.condition_track_from_song)
     words = sampling.generate(weights, track, gc)
     out_song = Song(title=f"{song.title}+generated", bars=song.bars,
                     guitar=song.guitar, bass=song.bass,
@@ -233,9 +236,9 @@ def cmd_features(args):
     label = _settings(args).label
     rows = []
     for path in _collect_song_paths(args.songs):
-        song = load_song(path)
+        song, features = _read_song(path, song_global_features)
         name = song.title or os.path.splitext(os.path.basename(path))[0]
-        rows.append((name, label, song_global_features(song)))
+        rows.append((name, label, features))
     write_features_csv(args.out, rows)
     print(f"wrote {len(rows)} feature rows to {args.out}")
     return 0
@@ -284,32 +287,34 @@ def cmd_gradcheck(args):
     err = finite_diff_check(lambda: dm_model.sequence_loss(params, seq, 0, 3)[0],
                             params.parameters())
     ok = err <= 1e-4
-    print(f"max relative gradient error over {sum(p.data.size for p in params.parameters())} "
+    print(f"max relative gradient error over {params.values.size} "
           f"parameters: {err:.3e} ({'OK' if ok else 'FAIL'} vs 1e-4)")
 
-    lane_err = _lane_gradient_error(params, seq, args.seed)
+    lane_err, worst = _lane_gradient_error(params, seq, args.seed)
     lane_ok = lane_err <= 1e-10
     print(f"training batch, lane path vs tape path: max relative gradient difference "
-          f"{lane_err:.3e} ({'OK' if lane_ok else 'FAIL'} vs 1e-10)")
+          f"{lane_err:.3e} in {worst} ({'OK' if lane_ok else 'FAIL'} vs 1e-10)")
     return 0 if ok and lane_ok else 1
 
 
 def _lane_gradient_error(params, seq, seed):
-    """Max relative difference between the batch gradients of the lane
-    path and the tape path: two lanes of unequal length plus a piece with
-    two slices, with the config's dropout drawn from equal rngs. The heads
-    are randomized so that every parameter gets a gradient."""
+    """(max relative difference, tensor name) between the batch gradients
+    of the lane path and the tape path: two lanes of unequal length plus a
+    piece with two slices, with the config's dropout drawn from equal rngs.
+    The heads are randomized so that every parameter gets a gradient."""
     rng = np.random.default_rng(seed)
     for head in params.heads.values():
         head.W.data[...] = rng.normal(size=head.W.data.shape)
+    shapes = dm_model.param_shapes(params.config)
+    w, dw = dm_model._views(params.values, shapes), dm_model._views(params.grads, shapes)
     batch = [(0, seq, 0, 3), (0, seq, 3, 6), (1, seq, 0, 2)]
     grads = []
     for path in (dm_model.lane_batch_backward, dm_model.tape_batch_backward):
         params.grads[...] = 0.0
-        path(params, batch, {}, np.random.default_rng(seed))
-        grads.append([p.grad.copy() for p in params.parameters()])
-    return max(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), np.finfo(float).tiny)
-               for a, b in zip(*grads))
+        path(params.config, w, dw, batch, {}, np.random.default_rng(seed))
+        grads.append(dm_model._views(params.grads.copy(), shapes))
+    return max((np.max(np.abs(grads[0][name] - g)) / max(np.max(np.abs(g)), np.finfo(float).tiny),
+                name) for name, g in grads[1].items())
 
 
 # ---------------------------------------------------------------------------

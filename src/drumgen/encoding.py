@@ -25,6 +25,7 @@ STREAMS = {
 VOCAB_SIZES = tuple(2 ** len(STREAMS[s]) for s in STREAM_NAMES)  # (4, 8, 16)
 
 PHRASE_MARKS = ("start", "mid", "end")
+EVENT_LIMIT = 2 ** 31  # largest step, duration or pitch a song file may give
 
 # fixed signature list; meters outside it are not encodable
 SIGNATURES = ((2, 4), (3, 4), (4, 4), (5, 4), (6, 8), (7, 8), (3, 8), (9, 8), (12, 8))
@@ -350,7 +351,8 @@ def load_song(path):
     """The Song of a JSON file; raises ValueError, naming path, for a file
     that is not JSON, a top level that is not a JSON object, bars that are
     not a list of objects, a missing key, a bar that Bar rejects, or an
-    event list or event of another form than song_to_dict writes."""
+    event list or event of another form than song_to_dict writes; an event's
+    numbers must lie within +-EVENT_LIMIT, which quantize_song can snap."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -368,9 +370,10 @@ def load_song(path):
         for ev in events:
             numbers, names = (ev[:1], ev[1:]) if width == 2 else (ev, [])
             if len(ev) != width or not all(n in COMPONENTS for n in names) or not all(
-                    type(x) in (int, float) and math.isfinite(x) for x in numbers):
+                    type(x) in (int, float) and abs(x) <= EVENT_LIMIT for x in numbers):
                 form = "[step, component]" if width == 2 else "[step, duration, pitch]"
-                raise ValueError(f"song file {path}: {track} event {ev!r} is not {form}")
+                raise ValueError(f"song file {path}: {track} event {ev!r} is not {form} "
+                                 f"of numbers within +-{EVENT_LIMIT}")
     try:
         return song_from_dict(doc)
     except KeyError as e:

@@ -10,22 +10,28 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 
 
-def glorot_uniform(rng, fan_in, fan_out, shape):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def init_layer(arrays, rng):
+    """Fill one layer's zero parameter arrays in parameters() order, [W, b]
+    or an LSTM's [Wx, Wh, bias], in place: each matrix Glorot-uniform from
+    rng in that order (left zero without an rng), with fan_in + fan_out
+    the sum of its shape, and an LSTM bias's forget-gate slice 1.0."""
+    for a in arrays:
+        if a.ndim == 2 and rng is not None:
+            limit = np.sqrt(6.0 / (a.shape[1] + a.shape[0]))
+            a[...] = rng.uniform(-limit, limit, size=a.shape)
+    if len(arrays) == 3:
+        n = len(arrays[2]) // 4
+        arrays[2][n:2 * n] = 1.0
+    return arrays
 
 
 class LinearLayer:
-    """W x + b with identity activation. W is Glorot-uniform from rng, or
-    zero without one; b starts at zero."""
+    """W x + b with identity activation, initialized by init_layer."""
 
     def __init__(self, out_dim, in_dim, rng=None, name="linear"):
-        if rng is None:
-            w = np.zeros((out_dim, in_dim))
-        else:
-            w = glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim))
+        w, b = init_layer([np.zeros((out_dim, in_dim)), np.zeros(out_dim)], rng)
         self.W = Parameter(w, name=f"{name}.W")
-        self.b = Parameter(np.zeros(out_dim), name=f"{name}.b")
+        self.b = Parameter(b, name=f"{name}.b")
 
     def forward(self, x):
         return ad.add(ad.matmul(self.W, x), self.b)
@@ -35,25 +41,16 @@ class LinearLayer:
 
 
 class LSTMLayer:
-    """Single LSTM layer with fused gate weights, gate order (i, f, g, o).
-
-    Forget-gate bias slice starts at 1.0. Without an rng the weights
-    start at zero (no Glorot draws), for values about to be overwritten.
-    """
+    """Single LSTM layer with fused gate weights, gate order (i, f, g, o),
+    initialized by init_layer."""
 
     def __init__(self, hidden, in_dim, rng=None, name="lstm"):
         self.hidden = hidden
         self.in_dim = in_dim
-        wx_shape, wh_shape = (4 * hidden, in_dim), (4 * hidden, hidden)
-        if rng is None:
-            wx, wh = np.zeros(wx_shape), np.zeros(wh_shape)
-        else:
-            wx = glorot_uniform(rng, in_dim, 4 * hidden, wx_shape)
-            wh = glorot_uniform(rng, hidden, 4 * hidden, wh_shape)
+        wx, wh, bias = init_layer([np.zeros((4 * hidden, in_dim)), np.zeros((4 * hidden, hidden)),
+                                   np.zeros(4 * hidden)], rng)
         self.Wx = Parameter(wx, name=f"{name}.Wx")
         self.Wh = Parameter(wh, name=f"{name}.Wh")
-        bias = np.zeros(4 * hidden)
-        bias[hidden:2 * hidden] = 1.0
         self.bias = Parameter(bias, name=f"{name}.bias")
 
     def zero_state(self):
@@ -105,8 +102,10 @@ def stacked_lstm_step(layers, x, state, dropout_rate, training, rng):
 
 # ---------------------------------------------------------------------------
 # Lane ops: plain numpy, no tape. Rows are time-major (row t*B + j is
-# step t of lane j); each op's backward adds into the layer parameters'
-# .grad and returns the input gradient.
+# step t of lane j). Weights are reached by name: w and dw are {name: view}
+# of the flat values and gradient buffers, and a layer's tensors are
+# "<layer>.W", "<layer>.b" or "<layer>.Wx", "<layer>.Wh", "<layer>.bias".
+# Each op's backward adds into dw and returns the input gradient.
 
 def linear_rows(x, w, b):
     """w x + b for every row of x [N x in]; w may be a column-slice view
@@ -114,9 +113,9 @@ def linear_rows(x, w, b):
     return x @ w.T + b
 
 
-def linear_rows_backward(layer, x, dy):
-    layer.W.grad += dy.T @ x
-    layer.b.grad += dy.sum(axis=0)
+def linear_rows_backward(dw, layer, x, dy):
+    dw[f"{layer}.W"] += dy.T @ x
+    dw[f"{layer}.b"] += dy.sum(axis=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,24 +128,24 @@ def _gate_affine(n):
     return scale, shift
 
 
-def lstm_lanes_forward(layers, xs, h0, c0):
+def lstm_lanes_forward(w, layers, xs, h0, c0):
     """One LSTM layer of each of S streams over T steps of B lanes.
 
-    layers are the streams' LSTMLayers of one hidden size, xs their inputs
-    [T, B, in_s], h0 and c0 [S, B, hidden]. Per stream, Wx x + bias is one
-    GEMM over all T*B rows; each step is one lstm_lanes_step for the
+    layers name the streams' LSTM layers of one hidden size in w, xs their
+    inputs [T, B, in_s], h0 and c0 [S, B, hidden]. Per stream, Wx x + bias
+    is one GEMM over all T*B rows; each step is one lstm_lanes_step for the
     group. Returns (hs, cs, cache): hs and cs are [S, T+1, B, hidden],
     step 0 the initial state; cache feeds one lstm_lanes_backward.
     """
     steps, lanes, _ = xs[0].shape
-    n = layers[0].hidden
+    n = h0.shape[-1]
     gates = np.empty((len(layers), steps, lanes, 4 * n))
     for layer, x, z in zip(layers, xs, gates):
-        np.matmul(x.reshape(steps * lanes, -1), layer.Wx.data.T, out=z.reshape(steps * lanes, -1))
-        z += layer.bias.data
+        np.matmul(x.reshape(steps * lanes, -1), w[f"{layer}.Wx"].T, out=z.reshape(-1, 4 * n))
+        z += w[f"{layer}.bias"]
     hs, cs = np.empty((2, len(layers), steps + 1, lanes, n))
     hs[:, 0], cs[:, 0] = h0, c0
-    whs = [layer.Wh.data for layer in layers]
+    whs = [w[f"{layer}.Wh"] for layer in layers]
     rec = np.empty((len(layers), lanes, 4 * n))
     for t in range(steps):
         lstm_lanes_step(whs, gates[:, t], hs[:, t], cs[:, t], hs[:, t + 1], cs[:, t + 1], rec)
@@ -182,8 +181,8 @@ def softmax_rows_inplace(logits):
     return logits
 
 
-def lstm_lanes_backward(layers, cache, dh_out):
-    """Truncated BPTT through lstm_lanes_forward.
+def lstm_lanes_backward(w, dw, layers, cache, dh_out):
+    """Truncated BPTT through lstm_lanes_forward of the same layers.
 
     dh_out [S, T, B, hidden] is the loss gradient at each step's output h;
     no gradient flows into the initial state. Per step the element-wise
@@ -200,6 +199,7 @@ def lstm_lanes_backward(layers, cache, dh_out):
     n = width // 4
     tanh_c = np.tanh(cs[:, 1:])
     dh, dc = np.zeros((2, streams, lanes, n))
+    whs = [w[f"{layer}.Wh"] for layer in layers]
     for t in range(steps - 1, -1, -1):
         z = gates[:, t]
         i, f, g, o = z[..., :n], z[..., n:2 * n], z[..., 2 * n:3 * n], z[..., 3 * n:]
@@ -212,31 +212,31 @@ def lstm_lanes_backward(layers, cache, dh_out):
         d_f = dc * cs[:, t] * f * (1.0 - f)
         dc *= f
         np.concatenate([d_i, d_f, d_g, d_o], axis=-1, out=z)
-        for layer, dz, d in zip(layers, z, dh):
-            np.matmul(dz, layer.Wh.data, out=d)
+        for wh, dz, d in zip(whs, z, dh):
+            np.matmul(dz, wh, out=d)
     dxs = []
     for layer, x, dz, h in zip(layers, xs, gates, hs):
         dz = dz.reshape(steps * lanes, width)
-        layer.Wx.grad += dz.T @ x.reshape(steps * lanes, -1)
-        layer.Wh.grad += dz.T @ h[:-1].reshape(steps * lanes, n)
-        layer.bias.grad += dz.sum(axis=0)
-        dxs.append((dz @ layer.Wx.data).reshape(x.shape))
+        dw[f"{layer}.Wx"] += dz.T @ x.reshape(steps * lanes, -1)
+        dw[f"{layer}.Wh"] += dz.T @ h[:-1].reshape(steps * lanes, n)
+        dw[f"{layer}.bias"] += dz.sum(axis=0)
+        dxs.append((dz @ w[f"{layer}.Wx"]).reshape(x.shape))
     return dxs
 
 
-def head_ce_lanes(head, h_top, post, targets, weights):
+def head_ce_lanes(w, dw, head, h_top, post, targets, weights):
     """Softmax head over rows [h_top, post] with weighted cross-entropy.
 
     Forward and backward at once: returns (ce, d_top, d_post) where ce
     is each row's -ln p[target] (p clamped at 1e-12, as in
     autodiff.cross_entropy) and the gradients are those of
-    sum(weights * ce). Adds into the head's .grad.
+    sum(weights * ce). head names the layer in w and dw.
     """
     n = h_top.shape[1]
-    w = head.W.data
-    probs = h_top @ w[:, :n].T
-    probs += post @ w[:, n:].T
-    probs += head.b.data
+    W, W_grad = w[f"{head}.W"], dw[f"{head}.W"]
+    probs = h_top @ W[:, :n].T
+    probs += post @ W[:, n:].T
+    probs += w[f"{head}.b"]
     softmax_rows_inplace(probs)
     rows = np.arange(len(targets))
     picked = probs[rows, targets]
@@ -245,7 +245,7 @@ def head_ce_lanes(head, h_top, post, targets, weights):
     dlogits = probs
     dlogits[rows, targets] -= 1.0
     dlogits *= np.where(picked >= ad.CE_CLAMP, weights, 0.0)[:, None]
-    head.W.grad[:, :n] += dlogits.T @ h_top
-    head.W.grad[:, n:] += dlogits.T @ post
-    head.b.grad += dlogits.sum(axis=0)
-    return ce, dlogits @ w[:, :n], dlogits @ w[:, n:]
+    W_grad[:, :n] += dlogits.T @ h_top
+    W_grad[:, n:] += dlogits.T @ post
+    dw[f"{head}.b"] += dlogits.sum(axis=0)
+    return ce, dlogits @ W[:, :n], dlogits @ W[:, n:]

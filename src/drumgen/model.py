@@ -23,7 +23,7 @@ from .autodiff import Tensor, Tape, backward
 # lstm_step is unused here but importable: perfbench/spans.py wraps it
 # under this module's name when it traces a run.
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
-    dropout_apply, linear_rows, linear_rows_backward, \
+    dropout_apply, init_layer, linear_rows, linear_rows_backward, \
     lstm_lanes_forward, lstm_lanes_backward, lstm_lanes_step, head_ce_lanes, \
     softmax_rows_inplace
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows, \
@@ -88,15 +88,13 @@ class ModelConfig:
 
 
 class ModelParams:
-    """All weights: 2 shared FF condition modules, and per stream a
-    stacked LSTM (layer-1 input = vocab + hidden) plus a zero-initialized
-    softmax head over [h_top, post-FF] of width 2*hidden. Without an rng
-    nothing is drawn and the weights start at zero, for a layout whose
-    values are about to be overwritten.
-
-    values and grads are two flat float64 buffers holding every
-    parameter in name order, with the {name: shape} layout shapes; each
-    Parameter's .data and .grad are views into them."""
+    """The weights as layer objects, for the tape path (sequence_loss,
+    forward_step) that tape_batch_backward, gradcheck and the tests use
+    as the oracle: 2 shared FF condition modules, and per stream a stacked
+    LSTM (layer-1 input = vocab + hidden) plus a zero-initialized softmax
+    head over [h_top, post-FF] of width 2*hidden; nothing is drawn without
+    an rng. values and grads are flat buffers of param_shapes' layout;
+    each Parameter's .data and .grad are views into them."""
 
     def __init__(self, config, rng=None):
         h = config.hidden
@@ -106,19 +104,16 @@ class ModelParams:
         self.lstm_stacks = {}
         self.heads = {}
         for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
-            in_dim = vocab + h
-            stack = []
-            for li in range(config.lstm_layers):
-                stack.append(LSTMLayer(h, in_dim, rng, name=f"{s}.lstm{li + 1}"))
-                in_dim = h
-            self.lstm_stacks[s] = stack
+            self.lstm_stacks[s] = [LSTMLayer(h, h if li else vocab + h, rng,
+                                             name=f"{s}.lstm{li + 1}")
+                                   for li in range(config.lstm_layers)]
             self.heads[s] = LinearLayer(vocab, 2 * h, name=f"{s}.head")
         plist = sorted(self.parameters(), key=lambda p: p.name)
-        self.shapes = {p.name: p.data.shape for p in plist}
+        shapes = {p.name: p.data.shape for p in plist}
         self.values = np.concatenate([p.data.ravel() for p in plist])
         self.grads = np.zeros(self.values.shape)  # np.zeros maps its pages lazily
-        for p, data, grad in zip(plist, _views(self.values, self.shapes).values(),
-                                 _views(self.grads, self.shapes).values()):
+        for p, data, grad in zip(plist, _views(self.values, shapes).values(),
+                                 _views(self.grads, shapes).values()):
             p.data, p.grad = data, grad
 
     def parameters(self):
@@ -210,14 +205,14 @@ def _dropout_widths(config):
     return widths
 
 
-def _wave(params, slices, states, keeps):
+def _wave(cfg, w, dw, slices, states, keeps):
     """Forward and backward over one wave: slices [(seq, a, b)] of
     different pieces side by side as lanes, padded to the longest with
     loss weight 0. states holds each lane's initial state as detach_state
     returns it (None = zeros), keeps its [b-a x sum(_dropout_widths)] keep
-    mask (None without dropout). Returns each slice's mean loss and end
-    state; the streams run grouped up to STACK_STREAMS_MAX_HIDDEN."""
-    cfg = params.config
+    mask (None without dropout). Adds into dw (lane_batch_backward). Returns
+    each slice's mean loss and end state; the streams run grouped up to
+    STACK_STREAMS_MAX_HIDDEN."""
     h = cfg.hidden
     lengths = [b - a for _, a, b in slices]
     steps, lanes = max(lengths), len(slices)
@@ -251,8 +246,8 @@ def _wave(params, slices, states, keeps):
         return x
 
     pre_cols, post_cols = next(columns), next(columns)
-    pre_out = drop(linear_rows(pre, params.pre_ff.W.data, params.pre_ff.b.data), pre_cols)
-    post_out = drop(linear_rows(post, params.post_ff.W.data, params.post_ff.b.data), post_cols)
+    pre_out = drop(linear_rows(pre, w["pre_ff.W"], w["pre_ff.b"]), pre_cols)
+    post_out = drop(linear_rows(post, w["post_ff.W"], w["post_ff.b"]), post_cols)
     d_pre = np.zeros_like(pre_out)
     d_post = np.zeros_like(post_out)
     ce = np.zeros(rows)
@@ -269,15 +264,15 @@ def _wave(params, slices, states, keeps):
                 xs = [y[1:].reshape(rows, h).copy() for y in hs]
             xs = [drop(x, cols[si][li]).reshape(steps, lanes, -1) for x, si in zip(xs, group)]
             h0, c0 = state[:, group, :, li * h:(li + 1) * h]
-            layers = [params.lstm_stacks[s][li] for s in names]
-            caches.append(lstm_lanes_forward(layers, xs, h0, c0)[2])
+            layers = [f"{s}.lstm{li + 1}" for s in names]
+            caches.append(lstm_lanes_forward(w, layers, xs, h0, c0)[2])
             hs, cs = caches[-1][2:]
             state[:, group, :, li * h:(li + 1) * h] = \
                 hs[:, lengths, range(lanes)], cs[:, lengths, range(lanes)]
         dh = np.empty((len(group), rows, h))
         for k, (si, s) in enumerate(zip(group, names)):
             top = drop(hs[k, 1:].reshape(rows, h).copy(), cols[si][-1])
-            ce_s, dh[k], d_post_s = head_ce_lanes(params.heads[s], top, post_out,
+            ce_s, dh[k], d_post_s = head_ce_lanes(w, dw, f"{s}.head", top, post_out,
                                                   targets[:, si], weights)
             ce += ce_s
             d_post += d_post_s
@@ -285,12 +280,12 @@ def _wave(params, slices, states, keeps):
         for li in range(cfg.lstm_layers - 1, -1, -1):
             dh = np.reshape(dh, (len(group), steps, lanes, h))
             # pop: a layer's cache is freed once its gradients are taken
-            dxs = lstm_lanes_backward([params.lstm_stacks[s][li] for s in names], caches.pop(), dh)
+            dxs = lstm_lanes_backward(w, dw, [f"{s}.lstm{li + 1}" for s in names], caches.pop(), dh)
             dh = [drop(dx.reshape(rows, -1), cols[si][li]) for dx, si in zip(dxs, group)]
         for dx, si in zip(dh, group):
             d_pre += dx[:, VOCAB_SIZES[si]:]
-    linear_rows_backward(params.pre_ff, pre, drop(d_pre, pre_cols))
-    linear_rows_backward(params.post_ff, post, drop(d_post, post_cols))
+    linear_rows_backward(dw, "pre_ff", pre, drop(d_pre, pre_cols))
+    linear_rows_backward(dw, "post_ff", post, drop(d_post, post_cols))
 
     # per-slice mean loss, summed over steps in order as sequence_loss does
     ce = ce.reshape(steps, lanes)
@@ -302,7 +297,7 @@ def _wave(params, slices, states, keeps):
             [state[:, :, j] for j in range(lanes)])
 
 
-def lane_batch_backward(params, batch, carry, rng):
+def lane_batch_backward(config, w, dw, batch, carry, rng):
     """Loss and gradients of one training batch, run as lanes.
 
     batch lists (key, seq, a, b) slices in training order; the slices of
@@ -313,12 +308,13 @@ def lane_batch_backward(params, batch, carry, rng):
     from zeros. Each slice's dropout masks are drawn in one rng call, in
     batch order, giving forward_step's draws bit for bit.
 
-    Adds the gradient of the summed per-slice mean losses into every
-    parameter's .grad. Returns (the per-slice mean losses in batch order,
+    w and dw are {name: view} of the flat values and gradient buffers
+    (param_shapes); adds the gradient of the summed per-slice mean losses
+    into dw. Returns (the per-slice mean losses in batch order,
     {key: detached end state of the piece's last slice here}).
     """
-    rate = params.config.dropout
-    width = sum(_dropout_widths(params.config))
+    rate = config.dropout
+    width = sum(_dropout_widths(config))
     keeps = [rng.random((b - a, width)) >= rate if rate > 0.0 else None
              for _, _, a, b in batch]
     groups = {}
@@ -330,7 +326,7 @@ def lane_batch_backward(params, batch, carry, rng):
     for wave in range(max(len(idx) for idx in groups.values())):
         lanes = [idx[wave] for idx in groups.values() if len(idx) > wave]
         keys = [batch[i][0] for i in lanes]
-        wave_losses, ends = _wave(params, [batch[i][1:] for i in lanes],
+        wave_losses, ends = _wave(config, w, dw, [batch[i][1:] for i in lanes],
                                   [states[k] for k in keys], [keeps[i] for i in lanes])
         for i, loss in zip(lanes, wave_losses):
             losses[i] = loss
@@ -338,9 +334,13 @@ def lane_batch_backward(params, batch, carry, rng):
     return losses, states
 
 
-def tape_batch_backward(params, batch, carry, rng):
+def tape_batch_backward(config, w, dw, batch, carry, rng):
     """Reference for lane_batch_backward, with the same arguments and
-    results: each slice through sequence_loss and the tape in turn."""
+    results: each slice through sequence_loss and the tape in turn, on a
+    ModelParams whose parameters are the views w and dw."""
+    params = ModelParams(config)
+    for p in params.parameters():
+        p.data, p.grad = w[p.name], dw[p.name]
     losses = []
     states = {}
     for key, seq, a, b in batch:
@@ -452,28 +452,29 @@ def adam_step(slots, lr, t):
 
 class Optimizer:
     """Adam with global-norm gradient clipping, tracking its own step
-    count. Adam's moments m and v are flat buffers laid out as
-    params.values; adam_step runs on ADAM_CHUNK-element slices of all four."""
+    count. values, grads and Adam's moments m and v are flat buffers of
+    param_shapes(config); adam_step runs on ADAM_CHUNK slices of all four."""
 
-    def __init__(self, params):
-        self.params = params
+    def __init__(self, config, values, grads):
+        self.config, self.values, self.grads = config, values, grads
         self.t = 0
-        self.m = np.zeros(params.values.shape)
-        self.v = np.zeros(params.values.shape)
-        bufs = (params.values, params.grads, self.m, self.v)
+        self.m = np.zeros(values.shape)
+        self.v = np.zeros(values.shape)
+        dw = _views(grads, param_shapes(config))
+        self._clip_order = [dw[name] for name in _model_order(config)]
+        bufs = (values, grads, self.m, self.v)
         self._slots = [tuple(buf[a:a + ADAM_CHUNK] for buf in bufs)
-                       for a in range(0, len(params.values), ADAM_CHUNK)]
+                       for a in range(0, len(values), ADAM_CHUNK)]
 
     def step(self, grad_scale=1.0):
         """Scale, clip and apply the accumulated gradients, then zero
         them; returns the global gradient norm before clipping."""
-        grads = self.params.grads
         if grad_scale != 1.0:
-            grads *= grad_scale
-        norm = clip_global_norm([p.grad for p in self.params.parameters()], GRAD_CLIP_NORM)
+            self.grads *= grad_scale
+        norm = clip_global_norm(self._clip_order, GRAD_CLIP_NORM)
         self.t += 1
-        adam_step(self._slots, self.params.config.learning_rate, self.t)
-        grads[...] = 0.0
+        adam_step(self._slots, self.config.learning_rate, self.t)
+        self.grads[...] = 0.0
         return norm
 
 
@@ -494,7 +495,7 @@ class _FlatValues:
 @dataclass
 class Checkpoint(_FlatValues):
     """A training state. values, m and v are flat float64 buffers laid
-    out as ModelParams.values: the parameters and Adam's two moments."""
+    out as param_shapes: the parameters and Adam's two moments."""
     config: ModelConfig
     epoch: int
     values: np.ndarray
@@ -513,26 +514,45 @@ class Weights(_FlatValues):
     values: np.ndarray
 
 
-def make_checkpoint(params, opt, rng, epoch, loss_history):
-    """A Checkpoint that shares the buffers of params and opt."""
-    return Checkpoint(params.config, epoch, params.values, opt.m, opt.v, opt.t,
+def make_checkpoint(opt, rng, epoch, loss_history):
+    """A Checkpoint that shares the buffers of opt."""
+    return Checkpoint(opt.config, epoch, opt.values, opt.m, opt.v, opt.t,
                       copy.deepcopy(rng.bit_generator.state), list(loss_history))
 
 
-@functools.lru_cache(maxsize=None)
-def param_shapes(config):
-    """Read-only ModelParams(config).shapes, the layout of its flat
-    buffers, {name: shape} in name order; computed from the config's
-    sizes, VOCAB_SIZES and COND_DIM, and kept per config."""
+def _model_order(config):
+    """{name: shape} in ModelParams.parameters()' order, in which init_values
+    draws and Optimizer.step sums the clip norm: pre_ff, post_ff, then per
+    stream K, H, T each LSTM layer's Wx, Wh, bias and the head's W, b."""
     h = config.hidden
     shapes = {"pre_ff.W": (h, COND_DIM), "pre_ff.b": (h,),
               "post_ff.W": (h, COND_DIM), "post_ff.b": (h,)}
     for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
-        shapes.update({f"{s}.head.W": (vocab, 2 * h), f"{s}.head.b": (vocab,)})
         for li in range(1, config.lstm_layers + 1):
             shapes.update({f"{s}.lstm{li}.Wx": (4 * h, vocab + h if li == 1 else h),
                            f"{s}.lstm{li}.Wh": (4 * h, h), f"{s}.lstm{li}.bias": (4 * h,)})
-    return types.MappingProxyType(dict(sorted(shapes.items())))
+        shapes.update({f"{s}.head.W": (vocab, 2 * h), f"{s}.head.b": (vocab,)})
+    return shapes
+
+
+@functools.lru_cache(maxsize=None)
+def param_shapes(config):
+    """Read-only {name: shape} of every parameter in name order, the flat
+    buffers' layout; computed from the config's sizes, kept per config."""
+    return types.MappingProxyType(dict(sorted(_model_order(config).items())))
+
+
+def init_values(config, rng):
+    """ModelParams(config, rng).values bit for bit: init_layer draws each
+    layer in _model_order, the heads left at zero."""
+    shapes = param_shapes(config)
+    values = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    w, layers = _views(values, shapes), {}
+    for name in _model_order(config):
+        layers.setdefault(name.rsplit(".", 1)[0], []).append(w[name])
+    for layer, arrays in layers.items():
+        init_layer(arrays, None if layer.endswith(".head") else rng)
+    return values
 
 
 def _views(buf, shapes):
@@ -564,18 +584,6 @@ def params_from_checkpoint(ckpt):
     params = ModelParams(ckpt.config)
     params.values[...] = ckpt.values
     return params
-
-
-def _restore_training(ckpt):
-    _check_buffers(ckpt, ("values", "m", "v"))
-    params = params_from_checkpoint(ckpt)
-    opt = Optimizer(params)
-    opt.t = ckpt.adam_t
-    opt.m[...] = ckpt.m
-    opt.v[...] = ckpt.v
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = copy.deepcopy(ckpt.rng_state)
-    return params, opt, rng
 
 
 def _slice_ranges(n, seq_len):
@@ -623,19 +631,24 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
                          f"training starts from, got {epochs!r}")
     if resume is None:
         rng = np.random.default_rng(seed)
-        params = ModelParams(config, rng)
-        opt = Optimizer(params)
+        values = init_values(config, rng)
+        opt = Optimizer(config, values, np.zeros(values.shape))
         loss_history = []
     else:
         if config is not None and config != resume.config:
             differ = [f.name for f in fields(ModelConfig)
                       if getattr(config, f.name) != getattr(resume.config, f.name)]
             raise ValueError(f"config differs from the resumed checkpoint's in {differ}")
-        params, opt, rng = _restore_training(resume)
-        config = params.config
+        _check_buffers(resume, ("values", "m", "v"))
+        config = resume.config
+        opt = Optimizer(config, resume.values.copy(), np.zeros(resume.values.shape))
+        opt.t, opt.m[...], opt.v[...] = resume.adam_t, resume.m, resume.v
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = copy.deepcopy(resume.rng_state)
         loss_history = list(resume.loss_history)
     for index, seq in enumerate(corpus):
         _check_piece(seq, config, index)
+    w, dw = (_views(buf, param_shapes(config)) for buf in (opt.values, opt.grads))
 
     checkpoints = []
     snaps = {e for e in snapshot_epochs if start_epoch < e < epochs}
@@ -648,7 +661,7 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         carry = {}
         for k in range(0, len(slices), config.batch_size):
             batch = slices[k:k + config.batch_size]
-            losses, carry = lane_batch_backward(params, batch, carry, rng)
+            losses, carry = lane_batch_backward(config, w, dw, batch, carry, rng)
             for (_, _, a, b), loss in zip(batch, losses):
                 loss_sum += loss * (b - a)
                 step_count += b - a
@@ -662,9 +675,9 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         if log_every and epoch % log_every == 0:
             print(f"epoch {epoch}: per-step loss {loss_history[-1]:.4f}")
         if epoch in snaps:
-            snapshot = make_checkpoint(params, opt, rng, epoch, loss_history)
+            snapshot = make_checkpoint(opt, rng, epoch, loss_history)
             checkpoints.append(copy.deepcopy(snapshot))
-    checkpoints.append(make_checkpoint(params, opt, rng, epochs, loss_history))
+    checkpoints.append(make_checkpoint(opt, rng, epochs, loss_history))
     return checkpoints
 
 

@@ -265,6 +265,23 @@ def test_features_rejects_malformed_song_file(tmp_path, capsys, doc, message):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("event, message", [
+    ({"guitar": [[0, 1, 200]]}, "guitar pitch out of range [0,127]: 200"),
+    ({"drums": [[99, "kick"]]}, "drum event step 99 outside grid of 16 steps"),
+    ({"drums": [[10 ** 400, "kick"]]}, "is not [step, component]"),
+])
+def test_features_names_the_song_file_of_an_event_off_the_grid(tmp_path, capsys, event,
+                                                               message):
+    """Events that load but do not quantize, and a step too large for a
+    float, name the song file."""
+    (tmp_path / "song.json").write_text(json.dumps({"bars": [BAR_4_4], **event}))
+    code = run_cli(["features", str(tmp_path / "song.json"), "--out", str(tmp_path / "f.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"song file {tmp_path / 'song.json'}: " in err and message in err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_embed_rejects_empty_features_file(tmp_path, capsys):
     (tmp_path / "f.csv").write_text("")
     code = run_cli(["embed", str(tmp_path / "f.csv"), "--out", str(tmp_path / "map.csv")])
@@ -344,6 +361,8 @@ def test_gradcheck_passes(capsys):
     assert len(lines) == 2 and "OK" in lines[0]
     assert lines[1].startswith("training batch, lane path vs tape path")
     assert lines[1].endswith("(OK vs 1e-10)")
+    assert re.search(r" in (\S+) \(OK", lines[1])[1] in dm_model.param_shapes(
+        dm_model.ModelConfig(hidden=4))
 
 
 @pytest.fixture(scope="module")

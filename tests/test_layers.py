@@ -204,11 +204,12 @@ def test_lstm_lanes_forward_matches_lstm_step():
     each stream checked against lstm_step from its own initial state."""
     rng = np.random.default_rng(3)
     hidden, steps, lanes = 3, 5, 2
-    layers = [LSTMLayer(hidden, width + hidden, rng) for width in (4, 8, 16)]
+    layers = [LSTMLayer(hidden, width + hidden, rng, name=f"s{width}") for width in (4, 8, 16)]
     xs = [rng.normal(size=(steps, lanes, layer.in_dim)) for layer in layers]
     h0 = rng.normal(size=(3, lanes, hidden))
     c0 = rng.normal(size=(3, lanes, hidden))
-    hs, cs, _ = lstm_lanes_forward(layers, xs, h0, c0)
+    w = {p.name: p.data for layer in layers for p in layer.parameters()}
+    hs, cs, _ = lstm_lanes_forward(w, ["s4", "s8", "s16"], xs, h0, c0)
     assert hs.shape == cs.shape == (3, steps + 1, lanes, hidden)
     for k, (layer, x) in enumerate(zip(layers, xs)):
         for j in range(lanes):
@@ -224,11 +225,13 @@ def test_lstm_lanes_backward_rejects_a_spent_cache():
     the same cache raises instead of returning wrong gradients."""
     rng = np.random.default_rng(4)
     hidden, steps, lanes = 8, 16, 2
-    layers = [LSTMLayer(hidden, 5, rng)]
+    layer = LSTMLayer(hidden, 5, rng)
+    w = {p.name: p.data for p in layer.parameters()}
+    dw = {p.name: p.grad for p in layer.parameters()}
     xs = [rng.normal(size=(steps, lanes, 5))]
     h0 = c0 = np.zeros((1, lanes, hidden))
-    _, _, cache = lstm_lanes_forward(layers, xs, h0, c0)
+    _, _, cache = lstm_lanes_forward(w, ["lstm"], xs, h0, c0)
     dh = rng.normal(size=(1, steps, lanes, hidden))
-    lstm_lanes_backward(layers, cache, dh)
+    lstm_lanes_backward(w, dw, ["lstm"], cache, dh)
     with pytest.raises(ValueError, match="cache already spent"):
-        lstm_lanes_backward(layers, cache, dh)
+        lstm_lanes_backward(w, dw, ["lstm"], cache, dh)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drumgen import autodiff as ad
 from drumgen import layers as dl
 from drumgen import model as dm
 from drumgen.autodiff import Tape, backward, finite_diff_check
@@ -17,6 +18,7 @@ from drumgen.model import (ModelConfig, ModelParams, Optimizer,
                            adam_step, clip_global_norm, forward_step,
                            load_checkpoint, save_checkpoint, sequence_loss,
                            train)
+from drumgen.sampling import ConditionTrack, GenerationConfig, generate
 from drumgen.synth import STYLES, SynthConfig, synth_songs
 
 LN512 = np.log(512.0)
@@ -165,7 +167,7 @@ def test_post_window_changes_outputs_but_not_states():
 
 def test_loss_decreases_after_one_optimizer_step(tiny_corpus):
     params = ModelParams(tiny_config(dropout=0.0), np.random.default_rng(8))
-    opt = Optimizer(params)
+    opt = Optimizer(params.config, params.values, params.grads)
     seq = tiny_corpus[0]
     with Tape() as tape:
         loss, _ = sequence_loss(params, seq, 0, 8)
@@ -346,9 +348,16 @@ def randomized_heads(params, seed):
         params.heads[s].W.data[...] = rng.normal(size=params.heads[s].W.data.shape)
 
 
+def named(params):
+    """config and {name: view} of the values and grads of params: the
+    leading arguments of lane_batch_backward and tape_batch_backward."""
+    shapes = dm.param_shapes(params.config)
+    return params.config, dm._views(params.values, shapes), dm._views(params.grads, shapes)
+
+
 def run_batch(fn, params, batch, carry, seed):
     rng = np.random.default_rng(seed)
-    losses, states = fn(params, batch, carry, rng)
+    losses, states = fn(*named(params), batch, carry, rng)
     grads = {p.name: p.grad.copy() for p in params.parameters()}
     params.grads[...] = 0.0
     return losses, states, grads, rng.bit_generator.state
@@ -360,7 +369,7 @@ def test_lane_batch_matches_tape_path(tiny_corpus, dropout):
     randomized_heads(params, 11)
     a, b = tiny_corpus
     # piece 0 carries its state over from the previous batch
-    _, carry = dm.tape_batch_backward(params, [(0, a, 0, 8)], {}, np.random.default_rng(12))
+    _, carry = dm.tape_batch_backward(*named(params), [(0, a, 0, 8)], {}, np.random.default_rng(12))
     for p in params.parameters():
         p.reset_grad()
     # lanes of 8, 8 and 5 steps; piece 1 has two slices in the batch
@@ -433,9 +442,9 @@ def counting_groups(monkeypatch):
     sizes = []
     real = dm.lstm_lanes_forward
 
-    def wrapper(layers, *args):
+    def wrapper(w, layers, *args):
         sizes.append(len(layers))
-        return real(layers, *args)
+        return real(w, layers, *args)
     monkeypatch.setattr(dm, "lstm_lanes_forward", wrapper)
     return sizes
 
@@ -448,7 +457,7 @@ def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monk
     params = ModelParams(tiny_config(dropout=dropout, hidden=5), np.random.default_rng(10))
     randomized_heads(params, 11)
     a, b = tiny_corpus
-    _, carry = dm.lane_batch_backward(params, [(0, a, 0, 8)], {}, np.random.default_rng(12))
+    _, carry = dm.lane_batch_backward(*named(params), [(0, a, 0, 8)], {}, np.random.default_rng(12))
     params.grads[...] = 0.0
     batch = [(0, a, 8, 16), (1, b, 0, 8), (1, b, 8, 13), (2, a, 0, 5)]
     sizes = counting_groups(monkeypatch)
@@ -480,10 +489,35 @@ def test_lane_path_carries_state_as_arrays_without_tensors(tiny_corpus, monkeypa
     monkeypatch.setattr(dm, "Tensor", no_tensor)
     a, b = tiny_corpus
     batch = [(0, a, 8, 16), (1, b, 0, 8), (1, b, 8, 13), (2, a, 0, 5)]
-    losses, states = dm.lane_batch_backward(params, batch, carry, np.random.default_rng(12))
+    losses, states = dm.lane_batch_backward(*named(params), batch, carry,
+                                           np.random.default_rng(12))
     assert len(losses) == len(batch)
     assert sorted(states) == [0, 1, 2]
     assert {state.shape for state in states.values()} == {(2, 3, 15)}
+
+
+def test_train_resume_and_generate_build_no_tape_objects(tiny_corpus, tmp_path, monkeypatch):
+    """train, a checkpoint's save and load, a resumed train and generate
+    reach the weights by name: none of them builds an autodiff Parameter,
+    Tensor or Tape, a ModelParams or a layer object."""
+    def refuse(name):
+        def build(*args, **kwargs):
+            raise AssertionError(f"built a {name}")
+        return build
+    for module, names in ((ad, ("Parameter", "Tensor", "Tape")),
+                          (dm, ("Tensor", "Tape", "ModelParams", "LinearLayer", "LSTMLayer")),
+                          (dl, ("Parameter", "Tensor", "LinearLayer", "LSTMLayer"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse(name))
+    cfg = tiny_config(hidden=5, lstm_layers=2)
+    ckpt = train(tiny_corpus, cfg, epochs=2, snapshot_epochs=(), seed=23)[-1]
+    save_checkpoint(ckpt, tmp_path / "ckpt")
+    resumed = train(tiny_corpus, None, epochs=3, resume=load_checkpoint(tmp_path / "ckpt"))[-1]
+    assert (resumed.epoch, len(resumed.loss_history)) == (3, 3)
+    seq = tiny_corpus[0]
+    track = ConditionTrack(seq.cond, np.full(len(seq) // 16, 16), seq.targets)
+    words = generate(resumed, track, GenerationConfig(seed_steps=4, rng_seed=1))
+    assert words.shape == (len(seq), 3)
 
 
 @pytest.mark.parametrize("hidden, layers", [(5, 3), (130, 2)])
@@ -494,7 +528,8 @@ def test_training_carry_and_inference_state_share_one_layout(tiny_corpus, hidden
     params = ModelParams(tiny_config(hidden=hidden, lstm_layers=layers, dropout=0.0),
                          np.random.default_rng(20))
     seq = tiny_corpus[0]
-    _, carry = dm.lane_batch_backward(params, [(0, seq, 0, 20)], {}, np.random.default_rng(21))
+    _, carry = dm.lane_batch_backward(*named(params), [(0, seq, 0, 20)], {},
+                                        np.random.default_rng(21))
     run = dm.InferenceRun(dm.Weights(params.config, params.values), seq.cond)
     for words in seq.inputs[:20]:
         run.step(words)
@@ -534,8 +569,34 @@ def test_optimizer_step_returns_norm_before_clipping():
     params = ModelParams(tiny_config(), np.random.default_rng(15))
     plist = params.parameters()
     plist[0].grad[...] = 3.0
-    norm = Optimizer(params).step(grad_scale=0.5)
+    norm = Optimizer(params.config, params.values, params.grads).step(grad_scale=0.5)
     npt.assert_allclose(norm, 1.5 * np.sqrt(plist[0].data.size))
+
+
+def test_clip_norm_sums_in_model_params_order():
+    """Optimizer.step returns the gradient norm summed tensor by tensor in
+    ModelParams.parameters()' order, bit for bit; on these gradients
+    param_shapes' name order sums to another float."""
+    params = ModelParams(tiny_config(hidden=48), np.random.default_rng(0))
+    params.grads[...] = np.random.default_rng(6).normal(size=params.grads.shape)
+
+    def norm(grads):
+        return np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
+    want = norm([p.grad for p in params.parameters()])
+    assert norm(named(params)[2].values()) != want
+    assert Optimizer(params.config, params.values, params.grads).step() == want
+
+
+@pytest.mark.parametrize("hidden, layers", [(1, 1), (5, 3), (48, 2)])
+def test_init_values_equals_model_params(hidden, layers):
+    """init_values draws ModelParams' initial weights, bit for bit, and
+    leaves the rng where ModelParams leaves it."""
+    cfg = tiny_config(hidden=hidden, lstm_layers=layers)
+    rng, model_rng = np.random.default_rng(24), np.random.default_rng(24)
+    values = dm.init_values(cfg, rng)
+    npt.assert_array_equal(values.view(np.uint64),
+                           ModelParams(cfg, model_rng).values.view(np.uint64))
+    assert rng.bit_generator.state == model_rng.bit_generator.state
 
 
 def test_optimizer_step_equals_adam_over_the_whole_buffers():
@@ -544,7 +605,7 @@ def test_optimizer_step_equals_adam_over_the_whole_buffers():
     params = ModelParams(tiny_config(hidden=48), np.random.default_rng(16))
     n = len(params.values)
     assert n > 2 * dm.ADAM_CHUNK and n % dm.ADAM_CHUNK
-    opt = Optimizer(params)
+    opt = Optimizer(params.config, params.values, params.grads)
     value, m, v = params.values.copy(), np.zeros(n), np.zeros(n)
     rng = np.random.default_rng(17)
     for t in (1, 2):
