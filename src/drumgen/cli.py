@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model as dm_model
-from . import sampling, synth, tsne
+from . import layers, sampling, synth, tsne
 from .autodiff import finite_diff_check
 from .encoding import (Song, decode_words, encode_sequence, load_song,
                        quantize_song, save_song)
@@ -140,6 +140,8 @@ def _settings(args):
             flag = getattr(args, opt.name)
             values[opt.name] = (flag if flag is not None
                                 else cfg.get(opt.name, opt.type(opt.default)))
+    if values.get("seed", 0) < 0:
+        raise UsageError(f"seed must be non-negative, got {values['seed']}")
     return argparse.Namespace(**values)
 
 
@@ -274,14 +276,12 @@ def cmd_inspect(args):
 
 
 def cmd_gradcheck(args):
-    from .synth import STYLES, SynthConfig, synth_song
     # dropout acts only in the lane/tape comparison, which trains
     mc = dm_model.ModelConfig(hidden=4, dropout=0.2, seq_len=3)
-    rng = np.random.default_rng(args.seed)
-    params = dm_model.ModelParams(mc, rng)
-    song = synth_song(STYLES["synthrock"],
-                      SynthConfig(n_songs=1, bars_per_song=2, seed=args.seed),
-                      np.random.default_rng(args.seed))
+    params = dm_model.ModelParams(mc, np.random.default_rng(args.seed))
+    song = synth.synth_song(synth.STYLES["synthrock"],
+                            synth.SynthConfig(n_songs=1, bars_per_song=2, seed=args.seed),
+                            np.random.default_rng(args.seed))
     seq = encode_sequence(quantize_song(song), mc.w_past, mc.w_future)
 
     err = finite_diff_check(lambda: dm_model.sequence_loss(params, seq, 0, 3)[0],
@@ -290,31 +290,35 @@ def cmd_gradcheck(args):
     print(f"max relative gradient error over {params.values.size} "
           f"parameters: {err:.3e} ({'OK' if ok else 'FAIL'} vs 1e-4)")
 
-    lane_err, worst = _lane_gradient_error(params, seq, args.seed)
+    sizes = (mc.hidden, layers.HOIST_MAX_LANE_UNITS + 1)
+    lane_err, worst, hidden = max(_lane_gradient_error(dataclasses.replace(mc, hidden=h), seq,
+                                                       args.seed) for h in sizes)
     lane_ok = lane_err <= 1e-10
-    print(f"training batch, lane path vs tape path: max relative gradient difference "
-          f"{lane_err:.3e} in {worst} ({'OK' if lane_ok else 'FAIL'} vs 1e-10)")
+    print(f"training batch, lane path vs tape path at hidden {sizes[0]} and {sizes[1]}: max "
+          f"relative gradient difference {lane_err:.3e} in {worst} at hidden {hidden} "
+          f"({'OK' if lane_ok else 'FAIL'} vs 1e-10)")
     return 0 if ok and lane_ok else 1
 
 
-def _lane_gradient_error(params, seq, seed):
-    """(max relative difference, tensor name) between the batch gradients
-    of the lane path and the tape path: two lanes of unequal length plus a
-    piece with two slices, with the config's dropout drawn from equal rngs.
-    The heads are randomized so that every parameter gets a gradient."""
+def _lane_gradient_error(config, seq, seed):
+    """(max relative difference, tensor name, hidden size) between the batch gradients
+    of the lane path and the tape path at config: two lanes of unequal length plus a
+    piece with two slices, with the config's dropout drawn from equal rngs. The heads
+    are randomized so that every parameter gets a gradient."""
     rng = np.random.default_rng(seed)
+    params = dm_model.ModelParams(config, rng)
     for head in params.heads.values():
         head.W.data[...] = rng.normal(size=head.W.data.shape)
-    shapes = dm_model.param_shapes(params.config)
+    shapes = dm_model.param_shapes(config)
     w, dw = dm_model._views(params.values, shapes), dm_model._views(params.grads, shapes)
     batch = [(0, seq, 0, 3), (0, seq, 3, 6), (1, seq, 0, 2)]
     grads = []
     for path in (dm_model.lane_batch_backward, dm_model.tape_batch_backward):
         params.grads[...] = 0.0
-        path(params.config, w, dw, batch, {}, np.random.default_rng(seed))
+        path(config, w, dw, batch, {}, np.random.default_rng(seed))
         grads.append(dm_model._views(params.grads.copy(), shapes))
     return max((np.max(np.abs(grads[0][name] - g)) / max(np.max(np.abs(g)), np.finfo(float).tiny),
-                name) for name, g in grads[1].items())
+                name, config.hidden) for name, g in grads[1].items())
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,10 @@ def stacked_lstm_step(layers, x, state, dropout_rate, training, rng):
 # of the flat values and gradient buffers, and a layer's tensors are
 # "<layer>.W", "<layer>.b" or "<layer>.Wx", "<layer>.Wh", "<layer>.bias".
 # Each op's backward adds into dw and returns the input gradient.
+# Up to HOIST_MAX_LANE_UNITS lanes x hidden units, where call overhead dominates, the
+# LSTM ops stack the streams' recurrent products and take BPTT's factors before the loop.
+HOIST_MAX_LANE_UNITS = 192
+
 
 def linear_rows(x, w, b):
     """w x + b for every row of x [N x in]; w may be a column-slice view
@@ -146,6 +150,7 @@ def lstm_lanes_forward(w, layers, xs, h0, c0):
     hs, cs = np.empty((2, len(layers), steps + 1, lanes, n))
     hs[:, 0], cs[:, 0] = h0, c0
     whs = [w[f"{layer}.Wh"] for layer in layers]
+    whs = np.stack([wh.T for wh in whs]) if lanes * n <= HOIST_MAX_LANE_UNITS else whs
     rec = np.empty((len(layers), lanes, 4 * n))
     for t in range(steps):
         lstm_lanes_step(whs, gates[:, t], hs[:, t], cs[:, t], hs[:, t + 1], cs[:, t + 1], rec)
@@ -153,14 +158,18 @@ def lstm_lanes_forward(w, layers, xs, h0, c0):
 
 
 def lstm_lanes_step(whs, z, h, c, h_out, c_out, rec):
-    """One step of one LSTM layer for S streams of B lanes, in training and in
-    generation: adds each stream's h @ wh.T (whs; h [S, B, k] is the product's input,
-    not necessarily the state) into the input pre-activations z [S, B, 4*hidden] through
-    the scratch rec of z's shape, turns z into the gate activations in place and writes
-    h_out and c_out [S, B, hidden], hidden read from c; they may alias h and c."""
+    """One step of one LSTM layer for S streams of B lanes, in training and in generation:
+    adds each stream's h @ wh.T (whs, or h @ whs for a C-contiguous stack [S, k, 4*hidden]
+    of the wh.T; h [S, B, k] is the product's input, not necessarily the state) into the
+    input pre-activations z [S, B, 4*hidden] through the scratch rec of z's shape, turns z
+    into the gate activations in place and writes h_out and c_out [S, B, hidden], hidden
+    read from c; they may alias h and c."""
     n = c.shape[-1]
-    for wh, h_k, r in zip(whs, h, rec):
-        np.matmul(h_k, wh.T, out=r)
+    if isinstance(whs, np.ndarray):
+        np.matmul(h, whs, out=rec)
+    else:
+        for wh, h_k, r in zip(whs, h, rec):
+            np.matmul(h_k, wh.T, out=r)
     z += rec
     scale, shift = _gate_affine(n)
     z *= scale
@@ -186,10 +195,12 @@ def lstm_lanes_backward(w, dw, layers, cache, dh_out):
 
     dh_out [S, T, B, hidden] is the loss gradient at each step's output h;
     no gradient flows into the initial state. Per step the element-wise
-    block runs once for the group, dZ Wh once per stream. The gate buffer
-    is reused for dZ, which then forms each stream's dWx = dZ^T x and
-    dWh = dZ^T h_prev as single GEMMs, so the call empties the cache and
-    raises on an empty one. Returns each stream's dx [T, B, in_s].
+    block runs once for the group, dZ Wh once per stream; up to
+    HOIST_MAX_LANE_UNITS, as broadcast products by factors taken before the
+    loop and one stacked dZ Wh. The gate buffer is reused for dZ, which then forms
+    each stream's dWx = dZ^T x and dWh = dZ^T h_prev as single GEMMs, so the
+    call empties the cache and raises on an empty one. Returns each stream's
+    dx [T, B, in_s].
     """
     if not cache:
         raise ValueError("lstm_lanes_backward: cache already spent by an earlier backward")
@@ -200,20 +211,31 @@ def lstm_lanes_backward(w, dw, layers, cache, dh_out):
     tanh_c = np.tanh(cs[:, 1:])
     dh, dc = np.zeros((2, streams, lanes, n))
     whs = [w[f"{layer}.Wh"] for layer in layers]
-    for t in range(steps - 1, -1, -1):
-        z = gates[:, t]
-        i, f, g, o = z[..., :n], z[..., n:2 * n], z[..., 2 * n:3 * n], z[..., 3 * n:]
-        tc = tanh_c[:, t]
-        dh += dh_out[:, t]
-        dc += dh * o * (1.0 - tc * tc)
-        d_o = dh * tc * o * (1.0 - o)
-        d_i = dc * g * i * (1.0 - i)
-        d_g = dc * i * (1.0 - g * g)
-        d_f = dc * cs[:, t] * f * (1.0 - f)
-        dc *= f
-        np.concatenate([d_i, d_f, d_g, d_o], axis=-1, out=z)
-        for wh, dz, d in zip(whs, z, dh):
-            np.matmul(dz, wh, out=d)
+    if lanes * n <= HOIST_MAX_LANE_UNITS:
+        i, f, g, o = (gates[..., k * n:(k + 1) * n] for k in range(4))
+        dc_dh, f = o * (1.0 - tanh_c * tanh_c), f.copy()
+        ifg, wh = gates[..., :3 * n].reshape(streams, steps, lanes, 3, n), np.stack(whs)
+        ifg[...] = np.stack([g * i * (1.0 - i), cs[:, :-1] * f * (1.0 - f), i * (1.0 - g * g)], 3)
+        o *= tanh_c * (1.0 - o)
+        for t in range(steps - 1, -1, -1):
+            dh += dh_out[:, t]
+            dc += dh * dc_dh[:, t]
+            ifg[:, t] *= dc[:, :, None]
+            o[:, t] *= dh
+            dc *= f[:, t]
+            np.matmul(gates[:, t], wh, out=dh)
+    else:
+        for t in range(steps - 1, -1, -1):
+            z, tc = gates[:, t], tanh_c[:, t]
+            i, f, g, o = z[..., :n], z[..., n:2 * n], z[..., 2 * n:3 * n], z[..., 3 * n:]
+            dh += dh_out[:, t]
+            dc += dh * o * (1.0 - tc * tc)
+            d_ifgo = [dc * g * i * (1.0 - i), dc * cs[:, t] * f * (1.0 - f),
+                      dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)]
+            dc *= f
+            np.concatenate(d_ifgo, axis=-1, out=z)
+            for wh, dz, d in zip(whs, z, dh):
+                np.matmul(dz, wh, out=d)
     dxs = []
     for layer, x, dz, h in zip(layers, xs, gates, hs):
         dz = dz.reshape(steps * lanes, width)

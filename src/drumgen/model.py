@@ -426,28 +426,29 @@ class InferenceRun:
 # Optimizer
 
 def clip_global_norm(grads, max_norm):
-    """Rescale grads in place so their global L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
+    """Scale the flat buffer grads in place to an L2 norm (einsum, not BLAS) of at most max_norm."""
+    total = math.sqrt(np.einsum("i,i->", grads, grads))
     if total > max_norm:
-        f = max_norm / total
-        for g in grads:
-            g *= f
+        grads *= max_norm / total
     return total
 
 
 def adam_step(slots, lr, t):
-    """Bias-corrected Adam update, in place, of each (value, grad, m, v)
-    slot of four equal-shape arrays; the temporaries are slot-sized."""
+    """Adam, in place, on each (value, grad, m, v) slot of four equal-shape vectors, its bias
+    correction folded into step size and epsilon (Kingma & Ba, sec. 2), via one scratch array."""
     if t < 1:
         raise ValueError("Adam step counter starts at 1")
+    root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    step, eps = lr * root / (1.0 - ADAM_BETA1 ** t), ADAM_EPS * root
+    scratch = np.empty(max(len(slot[0]) for slot in slots))
     for value, grad, m, v in slots:
+        s = scratch[:len(value)]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += np.multiply(np.square(grad, out=s), 1.0 - ADAM_BETA2, out=s)
+        s = np.add(np.sqrt(v, out=s), eps, out=s)
+        value -= np.multiply(np.divide(m, s, out=s), step, out=s)
 
 
 class Optimizer:
@@ -460,8 +461,6 @@ class Optimizer:
         self.t = 0
         self.m = np.zeros(values.shape)
         self.v = np.zeros(values.shape)
-        dw = _views(grads, param_shapes(config))
-        self._clip_order = [dw[name] for name in _model_order(config)]
         bufs = (values, grads, self.m, self.v)
         self._slots = [tuple(buf[a:a + ADAM_CHUNK] for buf in bufs)
                        for a in range(0, len(values), ADAM_CHUNK)]
@@ -471,7 +470,7 @@ class Optimizer:
         them; returns the global gradient norm before clipping."""
         if grad_scale != 1.0:
             self.grads *= grad_scale
-        norm = clip_global_norm(self._clip_order, GRAD_CLIP_NORM)
+        norm = clip_global_norm(self.grads, GRAD_CLIP_NORM)
         self.t += 1
         adam_step(self._slots, self.config.learning_rate, self.t)
         self.grads[...] = 0.0
@@ -521,9 +520,8 @@ def make_checkpoint(opt, rng, epoch, loss_history):
 
 
 def _model_order(config):
-    """{name: shape} in ModelParams.parameters()' order, in which init_values
-    draws and Optimizer.step sums the clip norm: pre_ff, post_ff, then per
-    stream K, H, T each LSTM layer's Wx, Wh, bias and the head's W, b."""
+    """{name: shape} in ModelParams.parameters()' order, in which init_values draws:
+    pre_ff, post_ff, then per stream K, H, T each LSTM layer's Wx, Wh, bias and the head's W, b."""
     h = config.hidden
     shapes = {"pre_ff.W": (h, COND_DIM), "pre_ff.b": (h,),
               "post_ff.W": (h, COND_DIM), "post_ff.b": (h,)}

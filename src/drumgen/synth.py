@@ -40,6 +40,11 @@ class SynthConfig:
             raise ValueError("phrase_len must be >= 2")
         if not self.meters:
             raise ValueError("meters list is empty")
+        low, high = self.tempo_range if len(self.tempo_range) == 2 else (0, 0)
+        if not 0 < low <= high < float("inf"):
+            raise ValueError(f"tempo_range needs finite 0 < low <= high, got {self.tempo_range!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "meters", tuple(tuple(m) for m in self.meters))
 
 

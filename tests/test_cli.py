@@ -12,6 +12,7 @@ from drumgen import cli
 from drumgen.cli import OPTIONS, build_parser, main
 from drumgen.encoding import load_song, quantize_song
 from drumgen.features import GLOBAL_FEATURE_NAMES, read_features_csv, write_features_csv
+from drumgen.layers import HOIST_MAX_LANE_UNITS
 from drumgen import model as dm_model
 from drumgen.model import load_checkpoint
 
@@ -111,6 +112,28 @@ def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, text
     code = run_cli(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")])
     assert code == 2
     assert "cfg.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, config, code, named", [
+    ("synth", [], {"tempo_min": 200, "tempo_max": 100}, 1, "tempo_range needs finite 0 < low"),
+    ("synth", [], {"tempo_min": float("nan")}, 1, "tempo_range needs finite 0 < low"),
+    ("synth", [], {"seed": -1}, 2, "seed must be non-negative, got -1"),
+    ("synth", ["--seed", "-1"], {}, 2, "seed must be non-negative, got -1"),
+    ("train", ["--seed", "-2"], {}, 2, "seed must be non-negative, got -2"),
+    ("generate", ["--seed", "-1"], {}, 2, "seed must be non-negative, got -1"),
+    ("embed", [], {"seed": -3}, 2, "seed must be non-negative, got -3"),
+], ids=["tempo-reversed", "tempo-nan", "synth-seed-config", "synth-seed-flag", "train-seed",
+        "generate-seed", "embed-seed-config"])
+def test_bad_tempo_range_or_negative_seed_is_named(tmp_path, capsys, command, flags, config,
+                                                   code, named):
+    """Caught before numpy sees them: its own messages name neither setting."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli([command, *REQUIRED[command], *flags, "--config", str(cfg),
+                    "--out", str(out)]) == code
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_meters_is_usage_error(tmp_path, capsys):
@@ -359,10 +382,14 @@ def test_gradcheck_passes(capsys):
     assert run_cli(["gradcheck", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and "OK" in lines[0]
-    assert lines[1].startswith("training batch, lane path vs tape path")
+    # one size in each recurrence order of the lane ops
+    sizes = (4, HOIST_MAX_LANE_UNITS + 1)
+    assert lines[1].startswith(f"training batch, lane path vs tape path at hidden "
+                               f"{sizes[0]} and {sizes[1]}: ")
     assert lines[1].endswith("(OK vs 1e-10)")
-    assert re.search(r" in (\S+) \(OK", lines[1])[1] in dm_model.param_shapes(
-        dm_model.ModelConfig(hidden=4))
+    name, hidden = re.search(r" in (\S+) at hidden (\d+) \(OK", lines[1]).groups()
+    assert int(hidden) in sizes
+    assert name in dm_model.param_shapes(dm_model.ModelConfig(hidden=int(hidden)))
 
 
 @pytest.fixture(scope="module")

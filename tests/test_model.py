@@ -1,5 +1,10 @@
 import copy
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -192,11 +197,11 @@ def test_sequence_loss_gradients_match_finite_differences(tiny_corpus):
 
 def test_clip_global_norm():
     g = np.array([30.0, 40.0])  # norm 50
-    total = clip_global_norm([g], 5.0)
+    total = clip_global_norm(g, 5.0)
     assert total == 50.0
     npt.assert_allclose(np.linalg.norm(g), 5.0)
     h = np.array([3.0, 4.0])
-    clip_global_norm([h], 5.0)  # norm exactly 5: untouched
+    clip_global_norm(h, 5.0)  # norm exactly 5: untouched
     npt.assert_array_equal(h, [3.0, 4.0])
 
 
@@ -411,19 +416,23 @@ def lane_batches(draw):
             batch.append((key, seq, start, start + n))
             start += n
         carry[key] = rng.normal(size=(2, 3, cfg.lstm_layers * cfg.hidden))
-    return cfg, batch, carry, draw(st.booleans())
+    # lanes x hidden up to which the LSTM ops hoist: none, one-lane waves, all
+    hoist = draw(st.sampled_from([0, cfg.hidden, 4 * cfg.hidden]))
+    return cfg, batch, carry, draw(st.booleans()), hoist
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(lane_batches())
 def test_lane_batch_matches_tape_path_on_drawn_batches(case):
     """Fuzzed oracle for lane_batch_backward, with the contracts of
-    test_lane_batch_matches_tape_path, grouped and one stream at a time."""
-    cfg, batch, carry, grouped = case
+    test_lane_batch_matches_tape_path: grouped and one stream at a time,
+    each with the hoisted and the per-step recurrence order in every wave or
+    in some."""
+    cfg, batch, carry, grouped, hoist = case
     params = ModelParams(cfg, np.random.default_rng(len(batch)))
     randomized_heads(params, 11)
-    limit = cfg.hidden if grouped else cfg.hidden - 1
-    with mock.patch.object(dm, "STACK_STREAMS_MAX_HIDDEN", limit):
+    with mock.patch.object(dm, "STACK_STREAMS_MAX_HIDDEN", cfg.hidden - (not grouped)), \
+            mock.patch.object(dl, "HOIST_MAX_LANE_UNITS", hoist):
         lane = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
     tape = run_batch(dm.tape_batch_backward, params, batch, carry, 13)
 
@@ -476,6 +485,32 @@ def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monk
         assert np.any(g != 0.0), name
         npt.assert_array_equal(single[2][name].view(np.uint64), g.view(np.uint64))
     assert grouped[3] == single[3]
+
+
+@pytest.mark.parametrize("hidden, layers", [(48, 2), (5, 3)])
+def test_lane_batch_same_in_the_hoisted_and_the_per_step_order(tiny_corpus, monkeypatch,
+                                                                hidden, layers):
+    """Up to layers.HOIST_MAX_LANE_UNITS lanes x hidden units the lane ops
+    take the element-wise BPTT factors before the time loop and stack the
+    recurrent products; the per-step order above it gives the same losses,
+    end states and gradients within 1e-12 and the same generator state."""
+    assert 3 * hidden <= dl.HOIST_MAX_LANE_UNITS  # the first wave has 3 lanes
+    params = ModelParams(tiny_config(hidden=hidden, lstm_layers=layers), np.random.default_rng(10))
+    randomized_heads(params, 11)
+    a, b = tiny_corpus
+    carry = {0: np.random.default_rng(12).normal(size=(2, 3, layers * hidden))}
+    batch = [(0, a, 8, 16), (1, b, 0, 8), (1, b, 8, 13), (2, a, 0, 5)]
+    hoisted = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
+    monkeypatch.setattr(dl, "HOIST_MAX_LANE_UNITS", 0)
+    per_step = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
+
+    npt.assert_allclose(hoisted[0], per_step[0], rtol=1e-12)
+    for key in carry:
+        npt.assert_allclose(hoisted[1][key], per_step[1][key], rtol=0, atol=1e-12)
+    for name, g in per_step[2].items():
+        assert np.any(g != 0.0), name
+        assert np.max(np.abs(hoisted[2][name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+    assert hoisted[3] == per_step[3]
 
 
 def test_lane_path_carries_state_as_arrays_without_tensors(tiny_corpus, monkeypatch):
@@ -573,18 +608,40 @@ def test_optimizer_step_returns_norm_before_clipping():
     npt.assert_allclose(norm, 1.5 * np.sqrt(plist[0].data.size))
 
 
-def test_clip_norm_sums_in_model_params_order():
-    """Optimizer.step returns the gradient norm summed tensor by tensor in
-    ModelParams.parameters()' order, bit for bit; on these gradients
-    param_shapes' name order sums to another float."""
+def test_clip_norm_is_one_reduction_over_the_flat_buffer():
+    """Optimizer.step returns the gradient norm as one einsum over the flat
+    gradient buffer (name order), bit for bit; on these gradients the sum of
+    per-tensor dot products in ModelParams.parameters()' order is another float."""
     params = ModelParams(tiny_config(hidden=48), np.random.default_rng(0))
     params.grads[...] = np.random.default_rng(6).normal(size=params.grads.shape)
-
-    def norm(grads):
-        return np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads))
-    want = norm([p.grad for p in params.parameters()])
-    assert norm(named(params)[2].values()) != want
+    want = math.sqrt(np.einsum("i,i->", params.grads, params.grads))
+    assert np.sqrt(sum(float(np.dot(p.grad.ravel(), p.grad.ravel()))
+                       for p in params.parameters())) != want
     assert Optimizer(params.config, params.values, params.grads).step() == want
+
+
+THREADED_STEP = """
+import hashlib
+import numpy as np
+from drumgen import model as dm
+cfg = dm.ModelConfig(hidden=256)
+values = dm.init_values(cfg, np.random.default_rng(0))
+opt = dm.Optimizer(cfg, values, np.random.default_rng(6).normal(size=values.shape))
+print(repr(opt.step()), *(hashlib.sha256(b).hexdigest() for b in (opt.values, opt.m, opt.v)))
+"""
+
+
+def test_optimizer_step_bits_do_not_depend_on_the_blas_thread_count():
+    """A hidden-256 clip and Adam step, under 1 and 2 OpenBLAS threads in two
+    processes, give the same norm and the same values, m and v bit for bit."""
+    src = str(Path(dm.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        outs.append(subprocess.run([sys.executable, "-c", THREADED_STEP], env=env, check=True,
+                                   capture_output=True, text=True, timeout=120).stdout)
+    assert outs[0] == outs[1] and float(outs[0].split()[0]) > dm.GRAD_CLIP_NORM
 
 
 @pytest.mark.parametrize("hidden, layers", [(1, 1), (5, 3), (48, 2)])

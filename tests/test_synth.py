@@ -139,3 +139,8 @@ def test_config_validation():
         SynthConfig(phrase_len=1)
     with pytest.raises(ValueError):
         SynthConfig(meters=())
+    for tempo in ((100.0, 90.0), (0.0, 90.0), (80.0, float("inf")), (float("nan"), 90.0), (80.0,)):
+        with pytest.raises(ValueError, match="tempo_range"):
+            SynthConfig(tempo_range=tempo)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SynthConfig(seed=-1)
