@@ -49,10 +49,13 @@ def _parse_meters(text):
 
 def _parse_snapshots(text):
     try:
-        return tuple(int(x) for x in text.split(",")) if text else ()
+        epochs = tuple(int(x) for x in text.split(",")) if text else ()
+        if min(epochs, default=1) < 1:
+            raise ValueError
+        return epochs
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a comma list of epochs like 50,150, got {text!r}") from None
+            f"expected a comma list of epochs of at least 1 like 50,150, got {text!r}") from None
 
 
 class Option(NamedTuple):
@@ -140,9 +143,13 @@ def _settings(args):
             flag = getattr(args, opt.name)
             values[opt.name] = (flag if flag is not None
                                 else cfg.get(opt.name, opt.type(opt.default)))
-    if values.get("seed", 0) < 0:
-        raise UsageError(f"seed must be non-negative, got {values['seed']}")
+    _check_seed(values.get("seed", 0))
     return argparse.Namespace(**values)
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
 
 
 def _collect_song_paths(inputs):
@@ -201,21 +208,28 @@ def cmd_train(args):
     def encode(song):
         return encode_sequence(quantize_song(song), mc.w_past, mc.w_future)
     corpus = [_read_song(path, encode)[1] for path in _collect_song_paths(args.corpus)]
-    checkpoints = dm_model.train(corpus, mc, s.epochs, s.snapshots, seed=s.seed,
-                                 log_every=s.log_every)
-
+    made = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
-    for ckpt in checkpoints:
+
+    def save(ckpt):
         path = os.path.join(args.out, f"checkpoint_epoch_{ckpt.epoch:04d}.json")
         dm_model.save_checkpoint(ckpt, path)
         print(f"wrote {path}")
+    try:  # each snapshot is saved at its epoch, so a failed run keeps those it reached
+        final = dm_model.train(corpus, mc, s.epochs, s.snapshots, seed=s.seed,
+                               log_every=s.log_every, on_snapshot=save)[-1]
+    except Exception:
+        if made and not os.listdir(args.out):  # failed before writing anything
+            os.rmdir(args.out)
+        raise
+    save(final)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(("epoch", "loss"))
-    w.writerows((i, repr(loss)) for i, loss in enumerate(checkpoints[-1].loss_history, start=1))
+    w.writerows((i, repr(loss)) for i, loss in enumerate(final.loss_history, start=1))
     atomic_write_text(os.path.join(args.out, "loss.csv"), buf.getvalue())
     print(f"final per-step loss: "
-          f"{checkpoints[-1].loss_history[-1] if checkpoints[-1].loss_history else float('nan')}")
+          f"{final.loss_history[-1] if final.loss_history else float('nan')}")
     return 0
 
 
@@ -276,6 +290,7 @@ def cmd_inspect(args):
 
 
 def cmd_gradcheck(args):
+    _check_seed(args.seed)
     # dropout acts only in the lane/tape comparison, which trains
     mc = dm_model.ModelConfig(hidden=4, dropout=0.2, seq_len=3)
     params = dm_model.ModelParams(mc, np.random.default_rng(args.seed))

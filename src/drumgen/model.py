@@ -605,18 +605,21 @@ def _check_piece(seq, config, index):
 
 
 def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
-          resume=None, log_every=0):
+          resume=None, log_every=0, on_snapshot=None):
     """Seeded training over a list of EncodedSequence pieces.
 
     Per epoch: shuffle pieces, cut each into seq_len slices (recurrent
     state persists across a piece's slices, resets between pieces), and
     take one clipped Adam step per batch_size slices on the averaged
-    gradients. Each batch runs as lanes (lane_batch_backward). Returns
-    checkpoints at each snapshot epoch, which copy the training buffers,
-    plus the final epoch, which holds them without a copy. resume must
-    be a Checkpoint (load_checkpoint, not load_weights), and config None
-    or equal to its config. Raises FloatingPointError on a non-finite
-    batch loss or gradient norm.
+    gradients. Each batch runs as lanes (lane_batch_backward). At each
+    snapshot epoch (ints of at least 1; those at or past epochs, or not
+    past resume's epoch, are skipped) calls on_snapshot(checkpoint) with a
+    Checkpoint that shares the training buffers and is valid only during
+    the call; by default it appends a copy to the returned list. Returns
+    that list plus the final epoch's checkpoint, which holds the buffers
+    without a copy. resume must be a Checkpoint (load_checkpoint, not
+    load_weights), and config None or equal to its config. Raises
+    FloatingPointError on a non-finite batch loss or gradient norm.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -627,6 +630,9 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     if not has_field_type(epochs, int) or epochs < start_epoch:
         raise ValueError(f"epochs must be an int of at least {start_epoch}, the epoch "
                          f"training starts from, got {epochs!r}")
+    snapshot_epochs = tuple(snapshot_epochs)  # read twice: an iterator would be spent
+    if not all(has_field_type(e, int) and e >= 1 for e in snapshot_epochs):
+        raise ValueError(f"snapshot_epochs must be ints of at least 1, got {snapshot_epochs!r}")
     if resume is None:
         rng = np.random.default_rng(seed)
         values = init_values(config, rng)
@@ -649,6 +655,9 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     w, dw = (_views(buf, param_shapes(config)) for buf in (opt.values, opt.grads))
 
     checkpoints = []
+    if on_snapshot is None:
+        def on_snapshot(checkpoint):
+            checkpoints.append(copy.deepcopy(checkpoint))
     snaps = {e for e in snapshot_epochs if start_epoch < e < epochs}
     for epoch in range(start_epoch + 1, epochs + 1):
         order = rng.permutation(len(corpus))
@@ -673,8 +682,7 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         if log_every and epoch % log_every == 0:
             print(f"epoch {epoch}: per-step loss {loss_history[-1]:.4f}")
         if epoch in snaps:
-            snapshot = make_checkpoint(opt, rng, epoch, loss_history)
-            checkpoints.append(copy.deepcopy(snapshot))
+            on_snapshot(make_checkpoint(opt, rng, epoch, loss_history))
     checkpoints.append(make_checkpoint(opt, rng, epochs, loss_history))
     return checkpoints
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from drumgen import cli
 from drumgen.cli import OPTIONS, build_parser, main
-from drumgen.encoding import load_song, quantize_song
+from drumgen.encoding import encode_sequence, load_song, quantize_song
 from drumgen.features import GLOBAL_FEATURE_NAMES, read_features_csv, write_features_csv
 from drumgen.layers import HOIST_MAX_LANE_UNITS
 from drumgen import model as dm_model
@@ -122,16 +124,18 @@ def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, text
     ("train", ["--seed", "-2"], {}, 2, "seed must be non-negative, got -2"),
     ("generate", ["--seed", "-1"], {}, 2, "seed must be non-negative, got -1"),
     ("embed", [], {"seed": -3}, 2, "seed must be non-negative, got -3"),
+    ("gradcheck", ["--seed", "-1"], None, 2, "seed must be non-negative, got -1"),
 ], ids=["tempo-reversed", "tempo-nan", "synth-seed-config", "synth-seed-flag", "train-seed",
-        "generate-seed", "embed-seed-config"])
+        "generate-seed", "embed-seed-config", "gradcheck-seed"])
 def test_bad_tempo_range_or_negative_seed_is_named(tmp_path, capsys, command, flags, config,
                                                    code, named):
-    """Caught before numpy sees them: its own messages name neither setting."""
+    """Caught before numpy sees them: its own messages name neither setting.
+    A config of None is a subcommand without --config and --out."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
-    assert run_cli([command, *REQUIRED[command], *flags, "--config", str(cfg),
-                    "--out", str(out)]) == code
+    files = [] if config is None else ["--config", str(cfg), "--out", str(out)]
+    assert run_cli([command, *REQUIRED.get(command, []), *flags, *files]) == code
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -164,11 +168,20 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, co
     assert not (tmp_path / "o").exists()
 
 
-def test_malformed_snapshots_is_usage_error(tmp_path, capsys):
-    code = run_cli(["train", str(tmp_path / "corpus"), "--snapshots", "a,b",
-                    "--out", str(tmp_path / "run")])
+@pytest.mark.parametrize("source, text", [
+    ("flag", "a,b"), ("flag", "-1,0,7"), ("flag", "0"), ("config", "-1,0,7"), ("config", "3,0"),
+], ids=["flag-letters", "flag-below-one", "flag-zero", "config-below-one", "config-zero"])
+def test_malformed_snapshots_is_usage_error(tmp_path, capsys, source, text):
+    """Epochs below 1 are refused; those past --epochs are skipped
+    (test_snapshots_past_the_last_epoch_are_skipped)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snapshots": text}))
+    setting = [f"--snapshots={text}"] if source == "flag" else ["--config", str(cfg)]
+    code = run_cli(["train", str(tmp_path / "corpus"), *setting, "--out", str(tmp_path / "run")])
     assert code == 2
-    assert "--snapshots" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("--snapshots" if source == "flag" else "cfg.json: snapshots") in err
+    assert f"epochs of at least 1 like 50,150, got {text!r}" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -230,6 +243,104 @@ def test_train_negative_epochs_rejected_before_writing(tmp_path, capsys):
     assert code == 1
     assert "epochs must be an int of at least 0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("small") / "corpus"
+    assert main(["synth", "--songs", "2", "--bars", "2", "--seed", "4",
+                 "--out", str(corpus)]) == 0
+    return str(corpus)
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_train_out_that_is_a_file_fails_before_training(small_corpus, tmp_path, capsys,
+                                                         monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("train ran")
+    monkeypatch.setattr(dm_model, "train", never)
+    (tmp_path / "run").write_text("not a directory")
+    code = run_cli(["train", small_corpus, "--hidden", "4", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert str(tmp_path / "run") in capsys.readouterr().err
+
+
+def test_snapshots_past_the_last_epoch_are_skipped(small_corpus, tmp_path):
+    assert main(["train", small_corpus, "--epochs", "2", "--snapshots", "1,7", "--hidden", "4",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert sorted(os.listdir(tmp_path / "run")) == [
+        "checkpoint_epoch_0001.json", "checkpoint_epoch_0002.json", "loss.csv"]
+
+
+def test_snapshot_is_its_epochs_state_bit_for_bit(small_corpus, tmp_path):
+    """An epoch-1 snapshot of a 3-epoch run, from train's returned list and
+    from drumgen train's file, saves to the bytes of a 1-epoch run's final
+    checkpoint: values, moments, Adam step, RNG state and losses."""
+    settings = {"hidden": 8, "dropout": 0.2, "wpast": 4, "wfuture": 4, "learning_rate": 1e-3,
+                "seq_len": 64, "batch_size": 16, "seed": 3}
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+    for epochs, snapshots in ((1, ""), (3, "1")):
+        assert main(["train", small_corpus, f"--epochs={epochs}", f"--snapshots={snapshots}",
+                     *flags, "--out", str(tmp_path / f"run-{epochs}")]) == 0
+    want = sha256_of(tmp_path / "run-1" / "checkpoint_epoch_0001.json")
+    assert sha256_of(tmp_path / "run-3" / "checkpoint_epoch_0001.json") == want
+
+    config = dm_model.ModelConfig(hidden=8, dropout=0.2, w_past=4, w_future=4,
+                                  learning_rate=1e-3, seq_len=64, batch_size=16)
+    pieces = [encode_sequence(quantize_song(load_song(path)), 4, 4)
+              for path in cli._collect_song_paths([small_corpus])]
+    snapshot = dm_model.train(pieces, config, 3, snapshot_epochs=(1,), seed=3)[0]
+    dm_model.save_checkpoint(snapshot, tmp_path / "from-list.json")
+    assert sha256_of(tmp_path / "from-list.json") == want
+
+
+def test_snapshots_add_no_training_buffer_to_peak_memory(small_corpus, tmp_path):
+    """Each snapshot is written from the live buffers: three snapshots raise
+    the traced peak by less than one parameter buffer."""
+    peaks = []
+    for snapshots in ("1,2,3", ""):
+        tracemalloc.start()
+        try:
+            assert main(["train", small_corpus, "--epochs", "4", f"--snapshots={snapshots}",
+                         "--hidden", "64", "--out", str(tmp_path / f"run-{len(peaks)}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    shapes = dm_model.param_shapes(dm_model.ModelConfig(hidden=64))
+    buffer_bytes = 8 * sum(math.prod(shape) for shape in shapes.values())
+    assert abs(peaks[0] - peaks[1]) < buffer_bytes, (peaks, buffer_bytes)
+
+
+def test_snapshots_written_before_a_failure_survive_it(small_corpus, tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    batch_backward = dm_model.lane_batch_backward
+
+    def counted(*args):
+        calls.append(1)
+        return batch_backward(*args)
+    monkeypatch.setattr(dm_model, "lane_batch_backward", counted)
+    argv = ["train", small_corpus, "--epochs", "4", "--snapshots", "1,2", "--hidden", "4"]
+    assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+    per_epoch = len(calls) // 4
+
+    def fails_in_epoch_3(*args):
+        if len(calls) == 2 * per_epoch:
+            raise RuntimeError("lost power in epoch 3")
+        return counted(*args)
+    calls.clear()
+    monkeypatch.setattr(dm_model, "lane_batch_backward", fails_in_epoch_3)
+    capsys.readouterr()
+    assert run_cli(argv + ["--out", str(tmp_path / "failed")]) == 1
+    assert "lost power in epoch 3" in capsys.readouterr().err
+    names = ["checkpoint_epoch_0001.json", "checkpoint_epoch_0002.json"]
+    assert sorted(os.listdir(tmp_path / "failed")) == names
+    for epoch, name in enumerate(names, start=1):
+        assert load_checkpoint(tmp_path / "failed" / name).epoch == epoch
+        assert sha256_of(tmp_path / "failed" / name) == sha256_of(tmp_path / "whole" / name)
 
 
 def test_embed_non_finite_perplexity_rejected(tmp_path, capsys):

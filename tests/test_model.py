@@ -269,8 +269,36 @@ def test_train_is_seed_deterministic(tiny_corpus):
 def test_train_snapshot_epochs(tiny_corpus):
     ckpts = train(tiny_corpus, tiny_config(), epochs=3, snapshot_epochs=(1, 3), seed=0)
     assert [c.epoch for c in ckpts] == [1, 3]
+    ckpts = train(tiny_corpus, tiny_config(), epochs=3, snapshot_epochs=iter([2]), seed=0)
+    assert [c.epoch for c in ckpts] == [2, 3]
     ckpts = train(tiny_corpus, tiny_config(), epochs=4, snapshot_epochs=(2,), seed=0)
     assert [c.epoch for c in ckpts] == [2, 4]
+
+
+@pytest.mark.parametrize("snapshot_epochs", [(0,), (2, -1), (1.0,), (True,), ("2",)],
+                         ids=["zero", "negative", "float", "bool", "str"])
+def test_train_rejects_snapshot_epochs_below_one_or_not_int(tiny_corpus, snapshot_epochs):
+    with pytest.raises(ValueError, match="snapshot_epochs must be ints of at least 1"):
+        train(tiny_corpus, tiny_config(), epochs=3, snapshot_epochs=snapshot_epochs)
+
+
+def test_on_snapshot_sees_the_training_buffers_at_its_epoch(tiny_corpus):
+    """The callback replaces the default copy: it gets a checkpoint that
+    shares the live buffers, and the returned list holds only the final one."""
+    copies = train(tiny_corpus, tiny_config(), epochs=3, snapshot_epochs=(1, 2), seed=8)
+    seen = []
+
+    def keep(ckpt):
+        seen.append((ckpt, copy.deepcopy(ckpt)))
+    ckpts = train(tiny_corpus, tiny_config(), epochs=3, snapshot_epochs=(1, 2), seed=8,
+                  on_snapshot=keep)
+    assert [c.epoch for c in ckpts] == [3]
+    assert [shared.epoch for shared, _ in seen] == [1, 2]
+    for (shared, at_epoch), want in zip(seen, copies):
+        assert shared.values is ckpts[-1].values and shared.m is ckpts[-1].m
+        for name in ("values", "m", "v"):
+            npt.assert_array_equal(getattr(at_epoch, name), getattr(want, name))
+        assert at_epoch.loss_history == want.loss_history
 
 
 def test_checkpoint_roundtrip_bit_exact(tiny_corpus, tmp_path):
