@@ -161,10 +161,17 @@ def _collect_song_paths(inputs):
                 with open(manifest) as fh:
                     try:
                         names = json.load(fh)["files"]
+                        if not (isinstance(names, list) and names
+                                and all(isinstance(n, str) for n in names)):
+                            raise TypeError(f"'files' holds {names!r:.80}")
                     except (ValueError, KeyError, TypeError) as e:
                         raise ValueError(f"corpus manifest {manifest} is not a JSON object "
-                                         f"with a 'files' list: {e!r}") from e
-                paths += [os.path.join(item, n) for n in names]
+                                         f"with a non-empty 'files' list of names: {e!r}") from e
+                for name in names:
+                    paths.append(os.path.join(item, name))
+                    if not os.path.isfile(paths[-1]):
+                        raise ValueError(f"corpus manifest {manifest} lists {name!r}, "
+                                         f"which is not a file in {item}")
             else:
                 paths += sorted(p for p in glob.glob(os.path.join(item, "*.json")))
         else:
@@ -265,8 +272,11 @@ def cmd_embed(args):
     rows = []
     for path in args.features:
         rows += read_features_csv(path)
-    emb = tsne.tsne_embed([vec for _, _, vec in rows], perplexity=s.perplexity,
-                          iterations=s.iterations, rng=np.random.default_rng(s.seed))
+    try:
+        emb = tsne.tsne_embed([vec for _, _, vec in rows], perplexity=s.perplexity,
+                              iterations=s.iterations, rng=np.random.default_rng(s.seed))
+    except (ValueError, FloatingPointError) as e:
+        raise ValueError(f"t-SNE of {', '.join(args.features)}: {e}") from e
     write_embedding_csv(args.out, [p for p, _, _ in rows],
                         [g for _, g, _ in rows], emb.coords)
     print(f"wrote {len(rows)} embedded points to {args.out} "
@@ -384,12 +394,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:  # runtime failure -> exit 1 with a real message
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except Exception as e:  # usage error -> exit 2, runtime failure -> exit 1, with a real message
+        config = getattr(args, "config", None)
+        note = f" (settings read from --config {config})" if config and config not in str(e) else ""
+        print(f"{'usage error' if isinstance(e, UsageError) else 'error'}: {e}{note}", file=sys.stderr)
+        return 2 if isinstance(e, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ blocks, summed over moving windows before entering the network.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,8 @@ class Bar:
             raise ValueError(f"bar numerator must be positive, got {self.numerator}")
         if self.denominator not in (2, 4, 8, 16):
             raise ValueError(f"bar denominator must be in {{2,4,8,16}}, got {self.denominator}")
-        if isinstance(self.tempo_bpm, bool) or not 0 < self.tempo_bpm < math.inf:
+        if isinstance(self.tempo_bpm, bool) or not isinstance(self.tempo_bpm, numbers.Real) \
+                or not 0 < self.tempo_bpm < math.inf:
             raise ValueError(f"tempo must be positive and finite, got {self.tempo_bpm}")
         if self.phrase_mark not in PHRASE_MARKS:
             raise ValueError(f"phrase mark must be one of {PHRASE_MARKS}, got {self.phrase_mark!r}")
@@ -277,8 +279,8 @@ def check_cond(cond, what):
 @dataclass
 class EncodedSequence:
     """Aligned per-step training arrays for one piece: targets[t] are the
-    word indices at t, one column per stream. The inputs and the condition
-    windows are derived from them and from cond on every read (not stored).
+    word indices at t, one column per stream. The inputs are derived from them
+    on every read (not stored), the windows from cond by condition_windows.
     """
     targets: np.ndarray     # [T x 3] int
     cond: np.ndarray        # [T x 31]
@@ -288,14 +290,8 @@ class EncodedSequence:
     def __len__(self):
         return len(self.targets)
 
-    def windows(self):
-        """(pre, post), [T x 31] each, derived from cond on every call (not stored)."""
-        return condition_windows(self.cond, self.w_past, self.w_future)
-
     inputs = property(lambda self: np.vstack([np.zeros_like(self.targets[:1]), self.targets[:-1]]),
                       doc="the words at t-1 at every step t, silence words (0) at t = 0")
-    pre = property(lambda self: self.windows()[0], doc="window_pre at every step")
-    post = property(lambda self: self.windows()[1], doc="window_post at every step")
 
 
 def encode_sequence(grid, w_p=4, w_f=4):

@@ -130,22 +130,29 @@ def write_features_csv(path, rows):
 
 
 def read_features_csv(path):
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, [])  # [] for an empty file
-        if tuple(header[2:]) != GLOBAL_FEATURE_NAMES:
-            raise ValueError(f"unexpected features CSV header in {path}")
-        rows = []
-        for row in r:
-            if len(row) != len(header):
-                raise ValueError(f"features CSV {path}, line {r.line_num}: {len(row)} "
-                                 f"columns, the header has {len(header)}")
-            try:
-                values = np.array([float(x) for x in row[2:]])
-            except ValueError as e:
-                raise ValueError(f"features CSV {path}, line {r.line_num}: {e}") from e
-            rows.append((row[0], row[1], values))
-        return rows
+    """The (piece, group, features) rows of a features CSV. A ValueError names path,
+    and the line for a row of another width or a value that is not a finite number."""
+    with open(path, "rb") as fh:
+        try:
+            r = csv.reader(io.StringIO(fh.read().decode("utf-8"), newline=""))
+        except UnicodeDecodeError as e:
+            raise ValueError(f"features CSV {path} is not UTF-8 text: {e}") from e
+    header = next(r, [])  # [] for an empty file
+    if tuple(header[2:]) != GLOBAL_FEATURE_NAMES:
+        raise ValueError(f"unexpected features CSV header in {path}")
+    rows = []
+    for row in r:
+        if len(row) != len(header):
+            raise ValueError(f"features CSV {path}, line {r.line_num}: {len(row)} "
+                             f"columns, the header has {len(header)}")
+        try:
+            values = np.array([float(x) for x in row[2:]])
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{values[~np.isfinite(values)][0]} is not a finite number")
+        except ValueError as e:
+            raise ValueError(f"features CSV {path}, line {r.line_num}: {e}") from e
+        rows.append((row[0], row[1], values))
+    return rows
 
 
 def write_embedding_csv(path, pieces, groups, coords):

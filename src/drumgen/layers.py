@@ -107,7 +107,7 @@ def stacked_lstm_step(layers, x, state, dropout_rate, training, rng):
 # "<layer>.W", "<layer>.b" or "<layer>.Wx", "<layer>.Wh", "<layer>.bias".
 # Each op's backward adds into dw and returns the input gradient.
 # Up to HOIST_MAX_LANE_UNITS lanes x hidden units, where call overhead dominates, the
-# LSTM ops stack the streams' recurrent products and take BPTT's factors before the loop.
+# LSTM backward takes BPTT's factors before the loop and stacks the streams' dZ Wh.
 HOIST_MAX_LANE_UNITS = 192
 
 
@@ -138,8 +138,9 @@ def lstm_lanes_forward(w, layers, xs, h0, c0):
     layers name the streams' LSTM layers of one hidden size in w, xs their
     inputs [T, B, in_s], h0 and c0 [S, B, hidden]. Per stream, Wx x + bias
     is one GEMM over all T*B rows; each step is one lstm_lanes_step for the
-    group. Returns (hs, cs, cache): hs and cs are [S, T+1, B, hidden],
-    step 0 the initial state; cache feeds one lstm_lanes_backward.
+    group, on one stack of the streams' Wh copied for this call. Returns
+    (hs, cs, cache): hs and cs are [S, T+1, B, hidden], step 0 the initial
+    state; cache feeds one lstm_lanes_backward.
     """
     steps, lanes, _ = xs[0].shape
     n = h0.shape[-1]
@@ -149,8 +150,7 @@ def lstm_lanes_forward(w, layers, xs, h0, c0):
         z += w[f"{layer}.bias"]
     hs, cs = np.empty((2, len(layers), steps + 1, lanes, n))
     hs[:, 0], cs[:, 0] = h0, c0
-    whs = [w[f"{layer}.Wh"] for layer in layers]
-    whs = np.stack([wh.T for wh in whs]) if lanes * n <= HOIST_MAX_LANE_UNITS else whs
+    whs = np.stack([w[f"{layer}.Wh"] for layer in layers])
     rec = np.empty((len(layers), lanes, 4 * n))
     for t in range(steps):
         lstm_lanes_step(whs, gates[:, t], hs[:, t], cs[:, t], hs[:, t + 1], cs[:, t + 1], rec)
@@ -159,17 +159,13 @@ def lstm_lanes_forward(w, layers, xs, h0, c0):
 
 def lstm_lanes_step(whs, z, h, c, h_out, c_out, rec):
     """One step of one LSTM layer for S streams of B lanes, in training and in generation:
-    adds each stream's h @ wh.T (whs, or h @ whs for a C-contiguous stack [S, k, 4*hidden]
-    of the wh.T; h [S, B, k] is the product's input, not necessarily the state) into the
-    input pre-activations z [S, B, 4*hidden] through the scratch rec of z's shape, turns z
-    into the gate activations in place and writes h_out and c_out [S, B, hidden], hidden
-    read from c; they may alias h and c."""
+    adds h @ wh.T for each stream's matrix wh of the C-contiguous stack whs [S, 4*hidden, k]
+    (h [S, B, k] is the product's input, not necessarily the state) into the input
+    pre-activations z [S, B, 4*hidden] through the scratch rec of z's shape, turns z into
+    the gate activations in place and writes h_out and c_out [S, B, hidden], hidden read
+    from c; they may alias h and c."""
     n = c.shape[-1]
-    if isinstance(whs, np.ndarray):
-        np.matmul(h, whs, out=rec)
-    else:
-        for wh, h_k, r in zip(whs, h, rec):
-            np.matmul(h_k, wh.T, out=r)
+    np.matmul(h, whs.transpose(0, 2, 1), out=rec)
     z += rec
     scale, shift = _gate_affine(n)
     z *= scale

@@ -20,18 +20,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, backward
-# lstm_step is unused here but importable: perfbench/spans.py wraps it
-# under this module's name when it traces a run.
+# lstm_step and atomic_write_text are unused here but importable:
+# perfbench/spans.py wraps them under this module's name when it traces a run.
+from .ioutil import atomic_write_bytes, atomic_write_text
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
     dropout_apply, init_layer, linear_rows, linear_rows_backward, \
     lstm_lanes_forward, lstm_lanes_backward, lstm_lanes_step, head_ce_lanes, \
     softmax_rows_inplace
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows, \
     check_cond, check_words
-from .ioutil import atomic_write_bytes
-# atomic_write_text is unused here but importable: perfbench/spans.py wraps
-# it under this module's name when it traces a run.
-from .ioutil import atomic_write_text
 
 CHECKPOINT_VERSION = 5
 
@@ -365,12 +362,12 @@ class InferenceRun:
     layer 1's condition columns plus bias, and each head's post-FF half
     plus bias. A step gathers layer 1's word column, runs each layer as
     one lstm_lanes_step for all three streams (training's step, with one
-    lane), then the heads' h_top half on single rows. A layer above the
-    first multiplies [h below, h] by its own copy of [Wx | Wh], [4h, 2h]
-    per stream, so the step's input h is not the layer's state. hs and cs
-    are the halves of one [2, 3, 1, layers*h] array, training's state with
-    one lane: each stream's layers side by side, so [h below, h] is a view
-    of hs. ckpt is a Checkpoint or Weights, checked against its config;
+    lane), then the heads' h_top half on single rows. Each layer's product
+    matrices are copied into one stack: layer 1's Wh [3, 4h, h], and above
+    it [Wx | Wh] [3, 4h, 2h], which multiplies [h below, h], so the step's
+    input h is not the layer's state. hs and cs are the halves of one
+    [2, 3, 1, layers*h] array, training's state with one lane: each
+    stream's layers side by side, so [h below, h] is a view of hs. ckpt is a Checkpoint or Weights, checked against its config;
     its values are only read, and the other weights are views of them.
     Probabilities match forward_step up to float rounding.
     """
@@ -387,11 +384,14 @@ class InferenceRun:
         self.inputs = [(w[f"{s}.lstm1.Wx"][:, :vocab].T,
                         linear_rows(pre_out, w[f"{s}.lstm1.Wx"][:, vocab:], w[f"{s}.lstm1.bias"]))
                        for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES)]
-        # per layer, each stream's product matrix and the stacked bias [3, 1, 4h] (layer 1: none)
-        self.layers = [([w[f"{s}.lstm1.Wh"] for s in STREAM_NAMES], None)] + [
-            ([np.hstack([w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"]]) for s in STREAM_NAMES],
-             np.stack([w[f"{s}.lstm{li}.bias"] for s in STREAM_NAMES])[:, None])
-            for li in range(2, cfg.lstm_layers + 1)]
+        # per layer, the streams' product matrices as one stack; per upper layer, the bias
+        self.layers, self.biases = [np.stack([w[f"{s}.lstm1.Wh"] for s in STREAM_NAMES])], []
+        for li in range(2, cfg.lstm_layers + 1):
+            mats = np.empty((len(STREAM_NAMES), 4 * h, 2 * h))
+            for s, m in zip(STREAM_NAMES, mats):
+                m[:, :h], m[:, h:] = w[f"{s}.lstm{li}.Wx"], w[f"{s}.lstm{li}.Wh"]
+            self.layers.append(mats)
+            self.biases.append(np.stack([w[f"{s}.lstm{li}.bias"] for s in STREAM_NAMES])[:, None])
         self.heads = [(w[f"{s}.head.W"][:, :h],
                        linear_rows(post_out, w[f"{s}.head.W"][:, h:], w[f"{s}.head.b"]))
                       for s in STREAM_NAMES]
@@ -412,9 +412,9 @@ class InferenceRun:
         hs, cs, z, n = self.hs, self.cs, self.z, self.z.shape[-1] // 4
         for (word_cols, cond_gates), word, zs in zip(self.inputs, words, z):
             np.add(cond_gates[t:t + 1], word_cols[word], out=zs)
-        for li, (mats, bias) in enumerate(self.layers):
+        for li, mats in enumerate(self.layers):
             if li:
-                z[...] = bias
+                z[...] = self.biases[li - 1]
             c = cs[..., li * n:(li + 1) * n]
             lstm_lanes_step(mats, z, hs[..., max(li - 1, 0) * n:(li + 1) * n], c,
                             hs[..., li * n:(li + 1) * n], c, self.rec)
@@ -584,10 +584,6 @@ def params_from_checkpoint(ckpt):
     return params
 
 
-def _slice_ranges(n, seq_len):
-    return [(a, min(a + seq_len, n)) for a in range(0, n, seq_len)]
-
-
 def _check_piece(seq, config, index):
     """Raise ValueError unless piece index has target words (encoding.check_words)
     and cond (check_cond) of one length, and the windows of config."""
@@ -661,8 +657,8 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     snaps = {e for e in snapshot_epochs if start_epoch < e < epochs}
     for epoch in range(start_epoch + 1, epochs + 1):
         order = rng.permutation(len(corpus))
-        slices = [(int(pi), corpus[pi], a, b) for pi in order
-                  for a, b in _slice_ranges(len(corpus[pi]), config.seq_len)]
+        slices = [(int(pi), corpus[pi], a, min(a + config.seq_len, len(corpus[pi])))
+                  for pi in order for a in range(0, len(corpus[pi]), config.seq_len)]
         loss_sum = 0.0
         step_count = 0
         carry = {}
@@ -737,10 +733,6 @@ def _is_count(value):
     return type(value) is int and value >= 0
 
 
-def _is_number(value):
-    return has_field_type(value, float) and math.isfinite(value)
-
-
 def _is_pcg64_state(state):
     return (isinstance(state, dict) and set(state) == _PCG64_KEYS
             and state["bit_generator"] == "PCG64"
@@ -759,7 +751,8 @@ def _check_values(header, path):
             raise CheckpointError(f"malformed checkpoint {path}: {name} must be a "
                                   f"non-negative integer, got {header[name]!r}")
     losses = header["loss_history"]
-    if not (isinstance(losses, list) and all(_is_number(x) for x in losses)):
+    if not (isinstance(losses, list)
+            and all(has_field_type(x, float) and math.isfinite(x) for x in losses)):
         raise CheckpointError(f"malformed checkpoint {path}: loss_history must be "
                               f"a list of finite numbers, got {losses!r}")
     if not _is_pcg64_state(header["rng_state"]):

@@ -30,10 +30,9 @@ class GenerationConfig:
 
 @dataclass
 class ConditionTrack:
-    """Full-piece per-step condition vectors plus bar structure, derived
-    from a Song whose drum track may be empty."""
+    """Full-piece per-step condition vectors plus the source drums' words,
+    derived from a Song whose drum track may be empty."""
     cond: np.ndarray
-    steps_per_bar: np.ndarray
     seed_words: np.ndarray  # [total x 3] word indices from the source drums
 
     def __len__(self):
@@ -42,8 +41,7 @@ class ConditionTrack:
 
 def condition_track_from_song(song):
     grid = quantize_song(song)
-    return ConditionTrack(condition_matrix(grid), grid.steps_per_bar.copy(),
-                          grid_words(grid))
+    return ConditionTrack(condition_matrix(grid), grid_words(grid))
 
 
 def _check_temperature(temperature):
@@ -73,27 +71,21 @@ def sample_categorical(p, rng):
     return int(np.searchsorted(cdf, u, side="right"))
 
 
-def _check_request(conditions, gen_config, seed_words):
-    """(cond, the seed_steps seed word rows), checked by encoding.check_cond
-    and check_words; raises ValueError if seed_steps exceeds the track."""
-    cond = check_cond(conditions.cond, "condition track")
-    seed_steps = gen_config.seed_steps
-    if seed_steps > len(cond):
-        raise ValueError(f"seed covers {seed_steps} steps but track has {len(cond)}")
-    seed = conditions.seed_words if seed_words is None else seed_words
-    return cond, check_words(seed, "seed words", seed_steps)
-
-
-def generate(checkpoint, conditions, gen_config, seed_words=None):
+def generate(checkpoint, conditions, gen_config):
     """Sample a full drum-word sequence [T x 3] over the condition track.
 
-    The first seed_steps are copied from seed_words (defaults to the
-    condition track's own drums) while warming the recurrent state; every
-    later step feeds the sampled words back as the next input. Dropout is
-    off throughout. Runs without the tape (model.InferenceRun), from a
-    Checkpoint or the Weights of model.load_weights.
+    The first seed_steps are copied from the track's seed_words (its own
+    drums) while warming the recurrent state; every later step feeds the
+    sampled words back as the next input. Dropout is off throughout. Runs
+    without the tape (model.InferenceRun), from a Checkpoint or the Weights
+    of model.load_weights. Raises ValueError for a track that encoding's
+    check_cond rejects, seed words that check_words rejects, or seed_steps
+    past the end of the track.
     """
-    cond, seed = _check_request(conditions, gen_config, seed_words)
+    cond = check_cond(conditions.cond, "condition track")
+    if gen_config.seed_steps > len(cond):
+        raise ValueError(f"seed covers {gen_config.seed_steps} steps but track has {len(cond)}")
+    seed = check_words(conditions.seed_words, "seed words", gen_config.seed_steps)
     run = InferenceRun(checkpoint, cond)
     rng = np.random.default_rng(gen_config.rng_seed)
     words = np.zeros((len(cond), 3), dtype=np.intp)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import COMPONENTS, Bar, Song, tempo_bin, save_song
+from .encoding import COMPONENTS, SIGNATURES, Bar, Song, tempo_bin, save_song
 from .ioutil import atomic_write_text
 
 _CI = {c: i for i, c in enumerate(COMPONENTS)}
@@ -46,6 +46,10 @@ class SynthConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "meters", tuple(tuple(m) for m in self.meters))
+        for meter in self.meters:
+            if meter not in SIGNATURES:
+                raise ValueError(f"meter {'/'.join(map(str, meter))} is not an encodable "
+                                 f"time signature {tuple(f'{n}/{d}' for n, d in SIGNATURES)}")
 
 
 def synthrock_probabilities(bar):

@@ -97,7 +97,8 @@ def tsne_embed(vectors, perplexity=5.0, iterations=500, rng=None):
     inverse = np.argsort(order)
     Xc = X[order]
 
-    sd = Xc.std(axis=0)
+    with np.errstate(over="raise"):  # a value too large to square raises FloatingPointError
+        sd = Xc.std(axis=0)
     keep = sd > 0
     Z = (Xc[:, keep] - Xc[:, keep].mean(axis=0)) / sd[keep]
 

@@ -18,7 +18,7 @@ from drumgen import layers as dl
 from drumgen import model as dm
 from drumgen.autodiff import finite_diff_check
 from drumgen.cli import main as cli_main
-from drumgen.encoding import (COMPONENTS, Bar, Song, decode_words,
+from drumgen.encoding import (COMPONENTS, Bar, Song, condition_windows, decode_words,
                               encode_sequence, quantize_song)
 from drumgen.features import (FEATURE_NAMES, bar_features, lhl_raw_syncopation,
                               lhl_syncopation, metrical_weights,
@@ -143,9 +143,9 @@ def test_criterion_4_overfit(verdict, trained):
     correct = total = 0
     for seq in trained["corpus"]:
         state = params.zero_state()
+        pre, post = condition_windows(seq.cond, seq.w_past, seq.w_future)
         for t in range(len(seq)):
-            probs = forward_step(params, seq.inputs[t], seq.pre[t],
-                                 seq.post[t], state)
+            probs = forward_step(params, seq.inputs[t], pre[t], post[t], state)
             for si in range(3):
                 pick = int(np.argmax(temperature_adjust(probs[si].data, 0.01)))
                 correct += int(pick == seq.targets[t][si])

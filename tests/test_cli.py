@@ -130,13 +130,16 @@ def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, text
 def test_bad_tempo_range_or_negative_seed_is_named(tmp_path, capsys, command, flags, config,
                                                    code, named):
     """Caught before numpy sees them: its own messages name neither setting.
-    A config of None is a subcommand without --config and --out."""
+    A failed command that read a config file names that file too. A config
+    of None is a subcommand without --config and --out."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
     files = [] if config is None else ["--config", str(cfg), "--out", str(out)]
     assert run_cli([command, *REQUIRED.get(command, []), *flags, *files]) == code
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert config is None or f"(settings read from --config {cfg})" in err
     assert not out.exists()
 
 
@@ -144,6 +147,17 @@ def test_malformed_meters_is_usage_error(tmp_path, capsys):
     code = run_cli(["synth", "--meters", "4-4", "--out", str(tmp_path / "c")])
     assert code == 2
     assert "--meters" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("meters", ["5/16", "4/4,4/3"])
+def test_synth_meter_the_encoder_cannot_use_is_named(tmp_path, capsys, meters):
+    """A meter outside encoding.SIGNATURES fails before --out exists: train
+    would reject the corpus, and 4/3 is not even a Bar."""
+    code = run_cli(["synth", "--meters", meters, "--out", str(tmp_path / "c")])
+    assert code == 1
+    bad = meters.split(",")[-1]
+    assert f"meter {bad} is not an encodable time signature" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
@@ -389,6 +403,10 @@ BAR_4_4 = {"num": 4, "den": 4, "bpm": 120.0, "phrase": "mid"}
      "drums event ['a', 'kick'] is not [step, component]"),
     ({"bars": [BAR_4_4], "bass": [[0, 1, "x"]]},
      "bass event [0, 1, 'x'] is not [step, duration, pitch]"),
+    ({"bars": [{"num": 4, "den": 4, "bpm": None, "phrase": "mid"}]},
+     "tempo must be positive and finite, got None"),
+    ({"bars": [{"num": 4, "den": 4, "bpm": {"x": 1}, "phrase": "mid"}]},
+     "tempo must be positive and finite, got {'x': 1}"),
 ])
 def test_features_rejects_malformed_song_file(tmp_path, capsys, doc, message):
     (tmp_path / "song.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -428,6 +446,8 @@ def test_embed_rejects_empty_features_file(tmp_path, capsys):
     ('{"style": "synthrock"}', "KeyError('files')"),
     ('{"files": [', "JSONDecodeError"),
     ('["a.json"]', "TypeError"),
+    ('{"files": "ab"}', "TypeError(\"'files' holds 'ab'\")"),
+    ('{"files": [1]}', "TypeError(\"'files' holds [1]\")"),
 ])
 def test_corpus_manifest_malformed_is_named(tmp_path, capsys, text, message):
     (tmp_path / "corpus").mkdir()
@@ -459,8 +479,10 @@ def test_unsupported_time_signature_names_the_song_file(pipeline, tmp_path, caps
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda vec: np.where(np.arange(len(vec)) == 3, np.nan, vec), "finite feature vectors"),
+    (lambda vec: np.where(np.arange(len(vec)) == 3, np.nan, vec),
+     "f.csv, line 3: nan is not a finite number"),
     (lambda vec: vec[:-1], "f.csv, line 3: 15 columns, the header has 16"),
+    (lambda vec: np.full_like(vec, 1e300), "f.csv: overflow encountered"),
 ])
 def test_embed_rejects_malformed_feature_rows(tmp_path, capsys, damage, message):
     rows = [(f"p{i}", "g", np.random.default_rng(i).normal(size=len(GLOBAL_FEATURE_NAMES)))
@@ -486,6 +508,24 @@ def test_embed_rejects_non_numeric_feature_value(tmp_path, capsys):
                     "--out", str(tmp_path / "map.csv")])
     assert code == 1
     assert "f.csv, line 3: could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "map.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"piece,group\xff," + ",".join(GLOBAL_FEATURE_NAMES).encode() + b"\n",
+     "f.csv is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    ("\n".join([",".join(("piece", "group") + GLOBAL_FEATURE_NAMES)]
+               + [",".join([f"p{i}", "g"] + ["0.5"] * len(GLOBAL_FEATURE_NAMES))
+                  for i in range(2)]),
+     "t-SNE of {path}: t-SNE needs at least 3 points, got 2"),
+], ids=["not-utf8", "two-rows"])
+def test_embed_names_the_features_file(tmp_path, capsys, text, message):
+    """Text that is not UTF-8, and a file that t-SNE cannot embed, fail naming the file."""
+    path = tmp_path / "f.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = run_cli(["embed", str(path), "--perplexity", "1", "--out", str(tmp_path / "map.csv")])
+    assert code == 1
+    assert message.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "map.csv").exists()
 
 

@@ -232,7 +232,7 @@ def test_targets_shifted_one_step_from_inputs():
     for w_p, w_f in ((0, 8), (8, 0), (4, 4)):
         other = encode_sequence(quantize_song(song), w_p, w_f)
         npt.assert_array_equal(other.targets, seq.targets)
-        pre, post = other.pre, other.post
+        pre, post = condition_windows(other.cond, w_p, w_f)
         for t in range(len(other)):
             npt.assert_array_equal(pre[t], window_pre(other.cond, t, w_p))
             npt.assert_array_equal(post[t], window_post(other.cond, t, w_f))

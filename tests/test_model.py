@@ -112,8 +112,8 @@ def test_single_step_loss_equals_forward_ce_sum(tiny_corpus):
     params = ModelParams(tiny_config(), np.random.default_rng(3))
     seq = tiny_corpus[0]
     loss, _ = sequence_loss(params, seq, 4, 5)
-    probs = forward_step(params, seq.inputs[4], seq.pre[4], seq.post[4],
-                         params.zero_state())
+    pre, post = condition_windows(seq.cond, seq.w_past, seq.w_future)
+    probs = forward_step(params, seq.inputs[4], pre[4], post[4], params.zero_state())
     expected = sum(-np.log(p.data[int(seq.targets[4][i])])
                    for i, p in enumerate(probs))
     npt.assert_allclose(float(loss.data), expected, rtol=1e-12)
@@ -518,10 +518,10 @@ def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monk
 @pytest.mark.parametrize("hidden, layers", [(48, 2), (5, 3)])
 def test_lane_batch_same_in_the_hoisted_and_the_per_step_order(tiny_corpus, monkeypatch,
                                                                 hidden, layers):
-    """Up to layers.HOIST_MAX_LANE_UNITS lanes x hidden units the lane ops
-    take the element-wise BPTT factors before the time loop and stack the
-    recurrent products; the per-step order above it gives the same losses,
-    end states and gradients within 1e-12 and the same generator state."""
+    """Up to layers.HOIST_MAX_LANE_UNITS lanes x hidden units the LSTM backward
+    takes the element-wise BPTT factors before the time loop and stacks the
+    streams' dZ Wh; the per-step order above it gives the same losses, end
+    states and gradients within 1e-12 and the same generator state."""
     assert 3 * hidden <= dl.HOIST_MAX_LANE_UNITS  # the first wave has 3 lanes
     params = ModelParams(tiny_config(hidden=hidden, lstm_layers=layers), np.random.default_rng(10))
     randomized_heads(params, 11)
@@ -578,7 +578,7 @@ def test_train_resume_and_generate_build_no_tape_objects(tiny_corpus, tmp_path, 
     resumed = train(tiny_corpus, None, epochs=3, resume=load_checkpoint(tmp_path / "ckpt"))[-1]
     assert (resumed.epoch, len(resumed.loss_history)) == (3, 3)
     seq = tiny_corpus[0]
-    track = ConditionTrack(seq.cond, np.full(len(seq) // 16, 16), seq.targets)
+    track = ConditionTrack(seq.cond, seq.targets)
     words = generate(resumed, track, GenerationConfig(seed_steps=4, rng_seed=1))
     assert words.shape == (len(seq), 3)
 
@@ -730,12 +730,12 @@ def test_train_rejects_non_finite_window(tiny_corpus):
 def test_piece_stores_no_windows(tiny_corpus):
     seq = copy.deepcopy(tiny_corpus[0])
     assert [f.name for f in dataclasses.fields(seq)] == ["targets", "cond", "w_past", "w_future"]
-    for name in ("inputs", "pre"):
-        with pytest.raises(AttributeError):
-            setattr(seq, name, np.zeros_like(getattr(seq, name)))
-    seq.cond[5] = 0.0  # an edit of cond shows in the windows at once
-    npt.assert_array_equal(seq.pre, condition_windows(seq.cond, 4, 4)[0])
-    npt.assert_array_equal(seq.post, condition_windows(seq.cond, 4, 4)[1])
+    with pytest.raises(AttributeError):
+        seq.inputs = np.zeros_like(seq.inputs)
+    for name in ("windows", "pre", "post"):  # windows come from condition_windows only
+        assert not hasattr(seq, name)
+    seq.targets[5] = (1, 2, 3)  # an edit of targets shows in the inputs at once
+    npt.assert_array_equal(seq.inputs[6], (1, 2, 3))
 
 
 @pytest.mark.parametrize("name", ["targets"])

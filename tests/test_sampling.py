@@ -115,7 +115,7 @@ def test_generate_output_length_and_vocab(tiny_checkpoint):
     track = condition_track_from_song(song)
     words = generate(tiny_checkpoint, track,
                      GenerationConfig(temperature=1.2, seed_steps=16, rng_seed=3))
-    assert len(words) == len(track) == int(track.steps_per_bar.sum())
+    assert len(words) == len(track) == quantize_song(song).total_steps
     for si, vocab in enumerate(VOCAB_SIZES):
         assert np.all(words[:, si] >= 0) and np.all(words[:, si] < vocab)
 
@@ -231,15 +231,16 @@ def test_generate_rejects_bad_request(tiny_checkpoint, case, match):
         "seed_too_large": (cond, _with_word(seed, 2, VOCAB_SIZES[2])),
     }[case]
     with pytest.raises(ValueError, match=match):
-        generate(tiny_checkpoint, dataclasses.replace(track, cond=cond),
-                 GenerationConfig(seed_steps=4), seed)
+        generate(tiny_checkpoint, dataclasses.replace(track, cond=cond, seed_words=seed),
+                 GenerationConfig(seed_steps=4))
 
 
 def test_seed_words_past_seed_steps_are_not_checked(tiny_checkpoint):
     track = condition_track_from_song(eval_song())
     seed = track.seed_words.copy()
     seed[4:] = -1  # never read: only the first seed_steps rows are used
-    words = generate(tiny_checkpoint, track, GenerationConfig(seed_steps=4), seed)
+    words = generate(tiny_checkpoint, dataclasses.replace(track, seed_words=seed),
+                     GenerationConfig(seed_steps=4))
     npt.assert_array_equal(words[:4], seed[:4])
 
 

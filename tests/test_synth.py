@@ -144,3 +144,7 @@ def test_config_validation():
             SynthConfig(tempo_range=tempo)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SynthConfig(seed=-1)
+    for meter in ((5, 16), (4, 3), (0, 4), (4, 4, 4)):
+        name = "/".join(map(str, meter))
+        with pytest.raises(ValueError, match=f"meter {name} is not an encodable time signature"):
+            SynthConfig(meters=((4, 4), meter))
