@@ -29,13 +29,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with an accumulated gradient buffer."""
+    """Trainable tensor with an accumulated gradient buffer: grad, or new zeros."""
 
     __slots__ = ("grad", "name")
 
-    def __init__(self, value, name=""):
+    def __init__(self, value, name="", grad=None):
         super().__init__(value, requires_grad=True)
-        self.grad = np.zeros(self.data.shape)  # unlike zeros_like, maps no page until written
+        self.grad = np.zeros(self.data.shape) if grad is None else grad  # maps no page till written
         self.name = name
 
     def reset_grad(self):

@@ -27,6 +27,7 @@ VOCAB_SIZES = tuple(2 ** len(STREAMS[s]) for s in STREAM_NAMES)  # (4, 8, 16)
 
 PHRASE_MARKS = ("start", "mid", "end")
 EVENT_LIMIT = 2 ** 31  # largest step, duration or pitch a song file may give
+BAR_STEP_LIMIT = 256  # longest bar in sixteenths; the longest signature, 12/8, has 24
 
 # fixed signature list; meters outside it are not encodable
 SIGNATURES = ((2, 4), (3, 4), (4, 4), (5, 4), (6, 8), (7, 8), (3, 8), (9, 8), (12, 8))
@@ -64,6 +65,9 @@ class Bar:
             raise ValueError(f"bar numerator must be positive, got {self.numerator}")
         if self.denominator not in (2, 4, 8, 16):
             raise ValueError(f"bar denominator must be in {{2,4,8,16}}, got {self.denominator}")
+        if self.numerator > BAR_STEP_LIMIT * self.denominator // 16:
+            raise ValueError(f"bar {self.numerator}/{self.denominator} is longer than "
+                             f"BAR_STEP_LIMIT = {BAR_STEP_LIMIT} sixteenths")
         if isinstance(self.tempo_bpm, bool) or not isinstance(self.tempo_bpm, numbers.Real) \
                 or not 0 < self.tempo_bpm < math.inf:
             raise ValueError(f"tempo must be positive and finite, got {self.tempo_bpm}")

@@ -18,7 +18,10 @@ def atomic_write_bytes(path, chunks):
     content of path. Each chunk is written from its own memory, so a
     C-contiguous numpy array can be passed without a copy."""
     path = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+    except OSError as e:  # name the file asked for, not the temp file
+        raise OSError(e.errno, e.strerror, path) from e
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), _default_file_mode())  # mkstemp made it 0o600

@@ -7,7 +7,7 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 
 
 def init_layer(arrays, rng):
@@ -22,16 +22,13 @@ def init_layer(arrays, rng):
     if len(arrays) == 3:
         n = len(arrays[2]) // 4
         arrays[2][n:2 * n] = 1.0
-    return arrays
 
 
 class LinearLayer:
-    """W x + b with identity activation, initialized by init_layer."""
+    """W x + b with identity activation, over the Parameters W [out, in] and b [out]."""
 
-    def __init__(self, out_dim, in_dim, rng=None, name="linear"):
-        w, b = init_layer([np.zeros((out_dim, in_dim)), np.zeros(out_dim)], rng)
-        self.W = Parameter(w, name=f"{name}.W")
-        self.b = Parameter(b, name=f"{name}.b")
+    def __init__(self, W, b):
+        self.W, self.b = W, b
 
     def forward(self, x):
         return ad.add(ad.matmul(self.W, x), self.b)
@@ -41,17 +38,12 @@ class LinearLayer:
 
 
 class LSTMLayer:
-    """Single LSTM layer with fused gate weights, gate order (i, f, g, o),
-    initialized by init_layer."""
+    """Single LSTM layer with fused gate weights, gate order (i, f, g, o), over
+    the Parameters Wx [4*hidden, in_dim], Wh [4*hidden, hidden] and bias [4*hidden]."""
 
-    def __init__(self, hidden, in_dim, rng=None, name="lstm"):
-        self.hidden = hidden
-        self.in_dim = in_dim
-        wx, wh, bias = init_layer([np.zeros((4 * hidden, in_dim)), np.zeros((4 * hidden, hidden)),
-                                   np.zeros(4 * hidden)], rng)
-        self.Wx = Parameter(wx, name=f"{name}.Wx")
-        self.Wh = Parameter(wh, name=f"{name}.Wh")
-        self.bias = Parameter(bias, name=f"{name}.bias")
+    def __init__(self, Wx, Wh, bias):
+        self.Wx, self.Wh, self.bias = Wx, Wh, bias
+        self.hidden, self.in_dim = Wh.data.shape[1], Wx.data.shape[1]
 
     def zero_state(self):
         return [Tensor(np.zeros(self.hidden)), Tensor(np.zeros(self.hidden))]

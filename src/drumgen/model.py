@@ -53,7 +53,7 @@ def check_field_types(config):
     of the dataclass config holds a value of its type (has_field_type)."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if not has_field_type(value, f.type):
+        if f.type in (int, float) and not has_field_type(value, f.type):
             want = "an int" if f.type is int else "a real number"
             raise ValueError(f"{f.name} must be {want}, got {value!r}")
 
@@ -89,37 +89,24 @@ class ModelParams:
     forward_step) that tape_batch_backward, gradcheck and the tests use
     as the oracle: 2 shared FF condition modules, and per stream a stacked
     LSTM (layer-1 input = vocab + hidden) plus a zero-initialized softmax
-    head over [h_top, post-FF] of width 2*hidden; nothing is drawn without
-    an rng. values and grads are flat buffers of param_shapes' layout;
-    each Parameter's .data and .grad are views into them."""
+    head over [h_top, post-FF] of width 2*hidden. values are init_values and
+    grads zeros; each Parameter's .data and .grad are views into them."""
 
     def __init__(self, config, rng=None):
-        h = config.hidden
         self.config = config
-        self.pre_ff = LinearLayer(h, COND_DIM, rng, name="pre_ff")
-        self.post_ff = LinearLayer(h, COND_DIM, rng, name="post_ff")
-        self.lstm_stacks = {}
-        self.heads = {}
-        for s, vocab in zip(STREAM_NAMES, VOCAB_SIZES):
-            self.lstm_stacks[s] = [LSTMLayer(h, h if li else vocab + h, rng,
-                                             name=f"{s}.lstm{li + 1}")
-                                   for li in range(config.lstm_layers)]
-            self.heads[s] = LinearLayer(vocab, 2 * h, name=f"{s}.head")
-        plist = sorted(self.parameters(), key=lambda p: p.name)
-        shapes = {p.name: p.data.shape for p in plist}
-        self.values = np.concatenate([p.data.ravel() for p in plist])
+        self.values = init_values(config, rng)
         self.grads = np.zeros(self.values.shape)  # np.zeros maps its pages lazily
-        for p, data, grad in zip(plist, _views(self.values, shapes).values(),
-                                 _views(self.grads, shapes).values()):
-            p.data, p.grad = data, grad
+        w, dw = (_views(buf, param_shapes(config)) for buf in (self.values, self.grads))
+        layers = _by_layer(config, {name: ad.Parameter(w[name], name, dw[name]) for name in w})
+        self._parameters = [p for layer in layers.values() for p in layer]
+        self.pre_ff, self.post_ff = LinearLayer(*layers["pre_ff"]), LinearLayer(*layers["post_ff"])
+        self.lstm_stacks = {s: [LSTMLayer(*layers[f"{s}.lstm{li}"])
+                                for li in range(1, config.lstm_layers + 1)] for s in STREAM_NAMES}
+        self.heads = {s: LinearLayer(*layers[f"{s}.head"]) for s in STREAM_NAMES}
 
     def parameters(self):
-        out = self.pre_ff.parameters() + self.post_ff.parameters()
-        for s in STREAM_NAMES:
-            for layer in self.lstm_stacks[s]:
-                out += layer.parameters()
-            out += self.heads[s].parameters()
-        return out
+        """The Parameters in _model_order."""
+        return list(self._parameters)
 
     def zero_state(self):
         return {s: [layer.zero_state() for layer in self.lstm_stacks[s]]
@@ -541,16 +528,21 @@ def param_shapes(config):
 
 
 def init_values(config, rng):
-    """ModelParams(config, rng).values bit for bit: init_layer draws each
-    layer in _model_order, the heads left at zero."""
+    """The initial weights as one flat buffer of param_shapes' layout:
+    init_layer draws each layer in _model_order, the heads left at zero."""
     shapes = param_shapes(config)
     values = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-    w, layers = _views(values, shapes), {}
-    for name in _model_order(config):
-        layers.setdefault(name.rsplit(".", 1)[0], []).append(w[name])
-    for layer, arrays in layers.items():
+    for layer, arrays in _by_layer(config, _views(values, shapes)).items():
         init_layer(arrays, None if layer.endswith(".head") else rng)
     return values
+
+
+def _by_layer(config, tensors):
+    """{layer: [tensors[name] for each "<layer>.<tensor>" name]}, in _model_order."""
+    layers = {}
+    for name in _model_order(config):
+        layers.setdefault(name.rsplit(".", 1)[0], []).append(tensors[name])
+    return layers
 
 
 def _views(buf, shapes):
@@ -614,7 +606,8 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     the call; by default it appends a copy to the returned list. Returns
     that list plus the final epoch's checkpoint, which holds the buffers
     without a copy. resume must be a Checkpoint (load_checkpoint, not
-    load_weights), and config None or equal to its config. Raises
+    load_weights), and config None or equal to its config. log_every > 0
+    prints the loss every log_every epochs. Raises
     FloatingPointError on a non-finite batch loss or gradient norm.
     """
     if not corpus:
@@ -629,6 +622,8 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
     snapshot_epochs = tuple(snapshot_epochs)  # read twice: an iterator would be spent
     if not all(has_field_type(e, int) and e >= 1 for e in snapshot_epochs):
         raise ValueError(f"snapshot_epochs must be ints of at least 1, got {snapshot_epochs!r}")
+    if not has_field_type(log_every, int) or log_every < 0:
+        raise ValueError(f"log_every must be an int of at least 0, got {log_every!r}")
     if resume is None:
         rng = np.random.default_rng(seed)
         values = init_values(config, rng)

@@ -8,6 +8,7 @@ instrument-conditioning tests a known ground-truth dependency.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .encoding import COMPONENTS, SIGNATURES, Bar, Song, tempo_bin, save_song
 from .ioutil import atomic_write_text
+from .model import check_field_types, has_field_type
 
 _CI = {c: i for i, c in enumerate(COMPONENTS)}
 
@@ -32,6 +34,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_songs < 0:
             raise ValueError("n_songs must be >= 0")
         if self.bars_per_song < 1:
@@ -41,8 +44,9 @@ class SynthConfig:
         if not self.meters:
             raise ValueError("meters list is empty")
         low, high = self.tempo_range if len(self.tempo_range) == 2 else (0, 0)
-        if not 0 < low <= high < float("inf"):
-            raise ValueError(f"tempo_range needs finite 0 < low <= high, got {self.tempo_range!r}")
+        if not (all(has_field_type(t, float) for t in (low, high)) and 0 < low <= high < math.inf):
+            raise ValueError(f"tempo_range needs finite 0 < low <= high, both real numbers, "
+                             f"got {self.tempo_range!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "meters", tuple(tuple(m) for m in self.meters))

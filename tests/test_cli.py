@@ -407,6 +407,8 @@ BAR_4_4 = {"num": 4, "den": 4, "bpm": 120.0, "phrase": "mid"}
      "tempo must be positive and finite, got None"),
     ({"bars": [{"num": 4, "den": 4, "bpm": {"x": 1}, "phrase": "mid"}]},
      "tempo must be positive and finite, got {'x': 1}"),
+    ({"bars": [{"num": 100000, "den": 4, "bpm": 120.0, "phrase": "mid"}]},
+     "bar 100000/4 is longer than BAR_STEP_LIMIT = 256 sixteenths"),
 ])
 def test_features_rejects_malformed_song_file(tmp_path, capsys, doc, message):
     (tmp_path / "song.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -621,6 +623,21 @@ def test_inspect_prints_summary_and_writes_nothing(pipeline, capsys):
     norms = [line.split()[1] for line in lines if line.startswith("norm ")]
     assert norms == [name + ":" for name in sorted(load_checkpoint(ckpt).tensors)]
     assert lines[-1] == "checksum OK"
+
+
+@pytest.mark.parametrize("command", ["features", "generate", "embed"])
+def test_output_into_a_missing_directory_names_the_out_path(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "nodir" / "out.file"
+    ckpt = pipeline / "run" / "checkpoint_epoch_0002.json"
+    argv = {"features": ["features", str(pipeline / "generated.json")],
+            "generate": ["generate", "--checkpoint", str(ckpt),
+                         "--conditions", str(pipeline / "corpus" / "synthrock-001.json")],
+            "embed": ["embed", str(pipeline / "features.csv"), "--perplexity", "3",
+                      "--iterations", "5"]}[command]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp-" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def flip_byte_in_section(src, dst, section):

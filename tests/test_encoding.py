@@ -26,9 +26,19 @@ def simple_song(bars=None, **kwargs):
 
 
 @pytest.mark.parametrize("num,den,steps", [(4, 4, 16), (9, 8, 18), (3, 8, 6),
-                                           (7, 8, 14), (12, 8, 24), (2, 4, 8)])
+                                           (7, 8, 14), (12, 8, 24), (2, 4, 8),
+                                           (128, 8, 256), (256, 16, 256)])
 def test_bar_step_counts(num, den, steps):
     assert bar(num, den).steps == steps
+
+
+@pytest.mark.parametrize("num,den", [(257, 16), (129, 8), (65, 4), (33, 2), (10 ** 9, 4),
+                                     (np.int64(2 ** 62), 2)])
+def test_bar_longer_than_the_step_limit_rejected(num, den):
+    """A bar of 257 sixteenths or more is refused before a grid of its size is built."""
+    assert enc.BAR_STEP_LIMIT == 256
+    with pytest.raises(ValueError, match=f"bar {num}/{den} is longer than BAR_STEP_LIMIT = 256"):
+        bar(num, den)
 
 
 def test_bar_validation():

@@ -26,15 +26,26 @@ from hypothesis import strategies as st
 from drumgen.cli import main
 from drumgen.features import GLOBAL_FEATURE_NAMES, write_features_csv
 
-# Small integers only: a drawn bar of 10**9 sixteenths would fill the memory. Non-finite
-# floats and meter-like strings are drawn as often as the other leaves.
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 20) | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=6)
-    | st.from_regex(r"[0-9]{1,2}/[0-9]{1,2}", fullmatch=True),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=6)
+
+def json_values(integers):
+    """Drawn JSON values, their integer leaves from integers. Non-finite floats and
+    meter-like strings are drawn as often as the other leaves."""
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats()
+        | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=6)
+        | st.from_regex(r"[0-9]{1,2}/[0-9]{1,2}", fullmatch=True),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=6)
+
+
+# A --config file's songs and bars have no upper bound, so its integers stay small: a
+# drawn count of 10**9 would fill the memory. Every number of a song file is bounded
+# (a bar by encoding.BAR_STEP_LIMIT sixteenths, an event by EVENT_LIMIT), so its
+# integers also reach far past those bounds and just past 2**31.
+JSON_VALUES = json_values(st.integers(-3, 20))
+SONG_VALUES = json_values(st.integers(-3, 20)
+                          | st.sampled_from([10 ** 9, -10 ** 9, 2 ** 31, 2 ** 31 + 1]))
 INVALID_UTF8 = (b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x80")
 
 
@@ -47,8 +58,9 @@ def _paths(doc, path=()):
 
 
 @st.composite
-def mutated(draw, doc, dump):
-    """The bytes of dump(doc) after one drawn mutation of doc or of its bytes."""
+def mutated(draw, doc, dump, values=JSON_VALUES):
+    """The bytes of dump(doc) after one drawn mutation of doc or of its bytes,
+    a replaced value drawn from values."""
     kind = draw(st.sampled_from(["delete", "replace", "truncate", "invalid utf-8"]))
     if kind in ("delete", "replace"):
         doc = copy.deepcopy(doc)
@@ -59,7 +71,7 @@ def mutated(draw, doc, dump):
         if kind == "delete":
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(JSON_VALUES)
+            parent[path[-1]] = draw(values)
         return dump(doc).encode()
     data = dump(doc).encode()
     cut = draw(st.integers(0, len(data)))
@@ -125,7 +137,7 @@ def song_argv(command, song, checkpoint, out):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data(), command=st.sampled_from(["features", "train", "generate"]))
 def test_fuzzed_song_file(valid, data, command):
-    text = data.draw(mutated(valid["song"], lambda doc: json.dumps(doc, indent=1)))
+    text = data.draw(mutated(valid["song"], lambda doc: json.dumps(doc, indent=1), SONG_VALUES))
     with tempfile.TemporaryDirectory() as d:
         song, out = os.path.join(d, "song.json"), os.path.join(d, "out")
         with open(song, "wb") as fh:

@@ -5,17 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drumgen import autodiff as ad
-from drumgen.autodiff import Tensor, finite_diff_check
-from drumgen.layers import (LinearLayer, LSTMLayer, dropout_apply,
+from drumgen.autodiff import Parameter, Tensor, finite_diff_check
+from drumgen.layers import (LinearLayer, LSTMLayer, dropout_apply, init_layer,
                             lstm_lanes_backward, lstm_lanes_forward, lstm_step,
                             stacked_lstm_step)
 
 
+def drawn_layer(cls, name, rng, **shapes):
+    """cls over new Parameters "<name>.<tensor>" of shapes, in keyword order,
+    filled by init_layer from rng as init_values fills a model's layers."""
+    arrays = [np.zeros(shape) for shape in shapes.values()]
+    init_layer(arrays, rng)
+    return cls(*(Parameter(a, f"{name}.{tensor}") for a, tensor in zip(arrays, shapes)))
+
+
+def lstm_layer(hidden, in_dim, rng=None, name="lstm"):
+    return drawn_layer(LSTMLayer, name, rng, Wx=(4 * hidden, in_dim), Wh=(4 * hidden, hidden),
+                       bias=(4 * hidden,))
+
+
 def make_linear(w, b):
-    layer = LinearLayer(len(w), len(w[0]))
-    layer.W.data[...] = w
-    layer.b.data[...] = b
-    return layer
+    return LinearLayer(Parameter(w, "linear.W"), Parameter(b, "linear.b"))
 
 
 def test_linear_identity():
@@ -41,10 +51,7 @@ def test_linear_shape_error():
 
 
 def zeroed_lstm(hidden, in_dim):
-    rng = np.random.default_rng(0)
-    layer = LSTMLayer(hidden, in_dim, rng)
-    layer.Wx.data[...] = 0.0
-    layer.Wh.data[...] = 0.0
+    layer = lstm_layer(hidden, in_dim)
     layer.bias.data[...] = 0.0
     return layer
 
@@ -75,7 +82,7 @@ def test_lstm_saturated_forget_gate_preserves_cell():
 
 
 def test_lstm_forget_bias_initialized_to_one():
-    layer = LSTMLayer(4, 3, np.random.default_rng(1))
+    layer = lstm_layer(4, 3, np.random.default_rng(1))
     npt.assert_array_equal(layer.bias.data[4:8], np.ones(4))
     npt.assert_array_equal(layer.bias.data[:4], np.zeros(4))
     npt.assert_array_equal(layer.bias.data[8:], np.zeros(8))
@@ -85,7 +92,7 @@ def test_lstm_forget_bias_initialized_to_one():
 @given(st.integers(0, 2 ** 31 - 1))
 def test_lstm_state_bounds(seed):
     rng = np.random.default_rng(seed)
-    layer = LSTMLayer(3, 2, rng)
+    layer = lstm_layer(3, 2, rng)
     c_prev = rng.uniform(-3, 3, size=3)
     state = [Tensor(rng.uniform(-1, 1, size=3)), Tensor(c_prev)]
     h, c = lstm_step(layer, Tensor(rng.uniform(-2, 2, size=2)), state)
@@ -95,7 +102,7 @@ def test_lstm_state_bounds(seed):
 
 def test_lstm_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    layer = LSTMLayer(3, 2, rng)
+    layer = lstm_layer(3, 2, rng)
     x = Tensor(rng.uniform(-1, 1, size=2))
 
     def loss_fn():
@@ -107,7 +114,7 @@ def test_lstm_gradients_match_finite_differences():
 
 def test_linear_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    layer = LinearLayer(3, 4, rng)
+    layer = drawn_layer(LinearLayer, "linear", rng, W=(3, 4), b=(3,))
     x = Tensor(rng.uniform(-1, 1, size=4))
 
     def loss_fn():
@@ -140,7 +147,7 @@ def test_dropout_preserves_expectation():
 
 def test_stacked_lstm_inference_is_deterministic():
     rng = np.random.default_rng(5)
-    layers = [LSTMLayer(3, 2, rng), LSTMLayer(3, 3, rng)]
+    layers = [lstm_layer(3, 2, rng), lstm_layer(3, 3, rng)]
     x = Tensor(np.array([0.3, -0.4]))
     outs = []
     for _ in range(2):
@@ -151,7 +158,7 @@ def test_stacked_lstm_inference_is_deterministic():
 
 def test_stacked_lstm_dropout_zero_matches_training_off():
     rng = np.random.default_rng(6)
-    layers = [LSTMLayer(3, 2, rng), LSTMLayer(3, 3, rng)]
+    layers = [lstm_layer(3, 2, rng), lstm_layer(3, 3, rng)]
     x = Tensor(np.array([0.3, -0.4]))
     s1 = [l.zero_state() for l in layers]
     s2 = [l.zero_state() for l in layers]
@@ -169,7 +176,7 @@ def test_stacked_lstm_zero_layers_give_zero_output():
 
 def test_stacked_lstm_updates_state_in_place():
     rng = np.random.default_rng(7)
-    layers = [LSTMLayer(2, 1, rng), LSTMLayer(2, 2, rng)]
+    layers = [lstm_layer(2, 1, rng), lstm_layer(2, 2, rng)]
     state = [l.zero_state() for l in layers]
     stacked_lstm_step(layers, Tensor([1.0]), state, 0.0, False, None)
     assert any(np.any(hc.data != 0) for pair in state for hc in pair)
@@ -204,7 +211,7 @@ def test_lstm_lanes_forward_matches_lstm_step():
     each stream checked against lstm_step from its own initial state."""
     rng = np.random.default_rng(3)
     hidden, steps, lanes = 3, 5, 2
-    layers = [LSTMLayer(hidden, width + hidden, rng, name=f"s{width}") for width in (4, 8, 16)]
+    layers = [lstm_layer(hidden, width + hidden, rng, name=f"s{width}") for width in (4, 8, 16)]
     xs = [rng.normal(size=(steps, lanes, layer.in_dim)) for layer in layers]
     h0 = rng.normal(size=(3, lanes, hidden))
     c0 = rng.normal(size=(3, lanes, hidden))
@@ -225,7 +232,7 @@ def test_lstm_lanes_backward_rejects_a_spent_cache():
     the same cache raises instead of returning wrong gradients."""
     rng = np.random.default_rng(4)
     hidden, steps, lanes = 8, 16, 2
-    layer = LSTMLayer(hidden, 5, rng)
+    layer = lstm_layer(hidden, 5, rng)
     w = {p.name: p.data for p in layer.parameters()}
     dw = {p.name: p.grad for p in layer.parameters()}
     xs = [rng.normal(size=(steps, lanes, 5))]

@@ -282,6 +282,15 @@ def test_train_rejects_snapshot_epochs_below_one_or_not_int(tiny_corpus, snapsho
         train(tiny_corpus, tiny_config(), epochs=3, snapshot_epochs=snapshot_epochs)
 
 
+@pytest.mark.parametrize("log_every", [-1, 1.5, True, "x"])
+def test_train_rejects_log_every_below_zero_or_not_int(tiny_corpus, monkeypatch, log_every):
+    """The check comes before any epoch is trained."""
+    monkeypatch.setattr(dm, "lane_batch_backward", mock.Mock(side_effect=AssertionError))
+    message = f"log_every must be an int of at least 0, got {log_every!r}"
+    with pytest.raises(ValueError, match=message):
+        train(tiny_corpus, tiny_config(), epochs=2, log_every=log_every)
+
+
 def test_on_snapshot_sees_the_training_buffers_at_its_epoch(tiny_corpus):
     """The callback replaces the default copy: it gets a checkpoint that
     shares the live buffers, and the returned list holds only the final one."""
@@ -569,7 +578,7 @@ def test_train_resume_and_generate_build_no_tape_objects(tiny_corpus, tmp_path, 
         return build
     for module, names in ((ad, ("Parameter", "Tensor", "Tape")),
                           (dm, ("Tensor", "Tape", "ModelParams", "LinearLayer", "LSTMLayer")),
-                          (dl, ("Parameter", "Tensor", "LinearLayer", "LSTMLayer"))):
+                          (dl, ("Tensor", "LinearLayer", "LSTMLayer"))):
         for name in names:
             monkeypatch.setattr(module, name, refuse(name))
     cfg = tiny_config(hidden=5, lstm_layers=2)
@@ -673,15 +682,24 @@ def test_optimizer_step_bits_do_not_depend_on_the_blas_thread_count():
 
 
 @pytest.mark.parametrize("hidden, layers", [(1, 1), (5, 3), (48, 2)])
-def test_init_values_equals_model_params(hidden, layers):
-    """init_values draws ModelParams' initial weights, bit for bit, and
-    leaves the rng where ModelParams leaves it."""
+def test_init_values_is_an_explicit_glorot_draw(hidden, layers):
+    """init_values bit for bit, and the rng left where it leaves it: in
+    _model_order, each matrix but the heads' drawn uniform in +-sqrt(6 /
+    (rows + cols)), each LSTM bias's forget quarter 1.0, all else 0; laid
+    out in param_shapes' order."""
     cfg = tiny_config(hidden=hidden, lstm_layers=layers)
-    rng, model_rng = np.random.default_rng(24), np.random.default_rng(24)
-    values = dm.init_values(cfg, rng)
-    npt.assert_array_equal(values.view(np.uint64),
-                           ModelParams(cfg, model_rng).values.view(np.uint64))
-    assert rng.bit_generator.state == model_rng.bit_generator.state
+    rng, want_rng = np.random.default_rng(24), np.random.default_rng(24)
+    want = {}
+    for name, shape in dm._model_order(cfg).items():
+        want[name] = np.zeros(shape)
+        if len(shape) == 2 and not name.endswith(".head.W"):
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            want[name] = want_rng.uniform(-limit, limit, shape)
+        elif name.endswith(".bias"):
+            want[name][shape[0] // 4:shape[0] // 2] = 1.0
+    expect = np.concatenate([want[name].ravel() for name in dm.param_shapes(cfg)])
+    npt.assert_array_equal(dm.init_values(cfg, rng).view(np.uint64), expect.view(np.uint64))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_optimizer_step_equals_adam_over_the_whole_buffers():
@@ -752,13 +770,6 @@ def test_train_rejects_words_and_cond_of_other_lengths(tiny_corpus):
         setattr(bad, name, np.concatenate([getattr(bad, name)] * 2))
         with pytest.raises(ValueError, match="piece 0: targets and cond must have"):
             train([bad], tiny_config(), epochs=1)
-
-
-@pytest.mark.parametrize("layers", [1, 2, 3])
-def test_param_shapes_match_model_params(layers):
-    cfg = tiny_config(lstm_layers=layers)
-    params = ModelParams(cfg, np.random.default_rng(0))
-    assert dm.param_shapes(cfg) == {p.name: p.data.shape for p in params.parameters()}
 
 
 def test_param_shapes_builds_no_model_params(monkeypatch):

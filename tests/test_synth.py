@@ -148,3 +148,10 @@ def test_config_validation():
         name = "/".join(map(str, meter))
         with pytest.raises(ValueError, match=f"meter {name} is not an encodable time signature"):
             SynthConfig(meters=((4, 4), meter))
+    for field, value in (("bars_per_song", 2.5), ("n_songs", 2.0), ("seed", 1.5), ("n_songs", "3"),
+                         ("phrase_len", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+            SynthConfig(**{field: value})
+    for tempo in ((80, "x"), (True, 90.0), (None, 90.0)):
+        with pytest.raises(ValueError, match="tempo_range needs finite 0 < low <= high, both real numbers"):
+            SynthConfig(tempo_range=tempo)
