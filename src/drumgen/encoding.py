@@ -7,6 +7,7 @@ bass, meter, tempo, phrasing) becomes a 31-dim concatenation of one-hot
 blocks, summed over moving windows before entering the network.
 """
 
+import bisect
 import json
 import math
 import numbers
@@ -113,18 +114,15 @@ def snap_step(x):
     return int(math.ceil(x - 0.5))
 
 
-def metrical_class_of_pos(pos):
-    if pos == 0:
-        return 0
-    if pos % 4 == 0:
-        return 1
-    if pos % 2 == 0:
-        return 2
-    return 3
+def metrical_classes(positions):
+    """Metrical class of each position in a bar: 0 downbeat, 1 on-beat
+    (a multiple of 4), 2 half-beat (even), 3 offbeat."""
+    pos = np.asarray(positions)
+    return np.select([pos == 0, pos % 4 == 0, pos % 2 == 0], [0, 1, 2], 3)
 
 
 def tempo_bin(bpm):
-    return int(np.searchsorted(TEMPO_EDGES, bpm, side="right"))
+    return bisect.bisect_right(TEMPO_EDGES, bpm)
 
 
 def _note_classes(events, total, cuts, track):
@@ -160,7 +158,7 @@ def quantize_song(song):
 
     bar_index = np.repeat(np.arange(len(song.bars)), steps_per_bar)
     pos_in_bar = np.concatenate([np.arange(n) for n in steps_per_bar])
-    metrical = np.array([metrical_class_of_pos(p) for p in pos_in_bar], dtype=np.intp)
+    metrical = metrical_classes(pos_in_bar)
 
     guitar = _note_classes(song.guitar, total, GUITAR_REGISTER_CUTS, "guitar")
     bass = _note_classes(song.bass, total, BASS_REGISTER_CUTS, "bass")
@@ -200,33 +198,38 @@ def word_components(stream, index):
 def grid_words(grid):
     """The three stream word indices at every step of a grid, [T x 3]:
     drum_word_index of the components with an onset at that step."""
-    words = np.zeros((grid.total_steps, len(STREAM_NAMES)), dtype=np.intp)
+    words = np.empty((grid.total_steps, len(STREAM_NAMES)), dtype=np.intp)
     for si, s in enumerate(STREAM_NAMES):
-        for bit, comp in enumerate(STREAMS[s]):
-            words[grid.drum_onsets[:, COMPONENTS.index(comp)], si] |= 1 << bit
+        cols = [COMPONENTS.index(c) for c in STREAMS[s]]
+        words[:, si] = grid.drum_onsets[:, cols] @ (1 << np.arange(len(cols)))
     return words
 
 
+def condition_matrix(grid):
+    """The 31-dim condition vector of every step, [T x 31]: six one-hot
+    blocks, the guitar, bass and metrical classes of the step and the
+    signature, tempo bin and phrase mark of its bar."""
+    per_bar = []
+    for bar in grid.bars:
+        sig = (bar.numerator, bar.denominator)
+        if sig not in SIGNATURES:
+            raise ValueError(f"time signature {sig[0]}/{sig[1]} not in the supported list")
+        per_bar.append((SIGNATURES.index(sig), tempo_bin(bar.tempo_bpm),
+                        PHRASE_MARKS.index(bar.phrase_mark)))
+    bar_fields = np.array(per_bar, dtype=np.intp)[grid.bar_index].T
+    cond = np.zeros((grid.total_steps, COND_DIM))
+    steps = np.arange(grid.total_steps)
+    for block, index in zip(CONDITION_BLOCKS, (grid.guitar_class, grid.bass_class,
+                                               grid.metrical_class, *bar_fields)):
+        cond[steps, block.start + index] = 1.0
+    return cond
+
+
 def encode_condition(grid, t):
-    """31-dim condition vector at step t: six one-hot blocks."""
+    """The condition vector at step t: row t of condition_matrix."""
     if not 0 <= t < grid.total_steps:
         raise IndexError(f"step {t} outside grid of {grid.total_steps} steps")
-    bar = grid.bars[grid.bar_index[t]]
-    sig = (bar.numerator, bar.denominator)
-    if sig not in SIGNATURES:
-        raise ValueError(f"time signature {sig[0]}/{sig[1]} not in the supported list")
-    v = np.zeros(COND_DIM)
-    v[GUITAR_BLOCK.start + grid.guitar_class[t]] = 1.0
-    v[BASS_BLOCK.start + grid.bass_class[t]] = 1.0
-    v[METER_BLOCK.start + grid.metrical_class[t]] = 1.0
-    v[SIGNATURE_BLOCK.start + SIGNATURES.index(sig)] = 1.0
-    v[TEMPO_BLOCK.start + tempo_bin(bar.tempo_bpm)] = 1.0
-    v[GROUPING_BLOCK.start + PHRASE_MARKS.index(bar.phrase_mark)] = 1.0
-    return v
-
-
-def condition_matrix(grid):
-    return np.stack([encode_condition(grid, t) for t in range(grid.total_steps)])
+    return condition_matrix(grid)[t]
 
 
 def window_pre(cond, t, w_p):

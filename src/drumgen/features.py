@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .encoding import (COMPONENTS, STREAM_NAMES, STREAMS,
-                       metrical_class_of_pos, quantize_song)
+                       metrical_classes, quantize_song)
 from .ioutil import atomic_write_text
 
 FEATURE_NAMES = ("density", "density_k", "density_h", "density_t",
@@ -27,7 +27,7 @@ _STREAM_COLS = {s: np.array([COMPONENTS.index(c) for c in STREAMS[s]])
 
 def metrical_weights(n_steps):
     """Per-position weights: downbeat 0, on-beat -1, half-beat -2, offbeat -3."""
-    return tuple(-metrical_class_of_pos(p) for p in range(n_steps))
+    return tuple((-metrical_classes(np.arange(n_steps))).tolist())
 
 
 def lhl_raw_syncopation(pattern, weights):
@@ -80,7 +80,7 @@ def bar_features(bar_grid):
     n = grid.shape[0]
     if n < 1:
         raise ValueError("empty bar")
-    classes = np.array([metrical_class_of_pos(p) for p in range(n)])
+    classes = metrical_classes(np.arange(n))
 
     density = grid.sum() / (n * len(COMPONENTS))
     stream_density = [grid[:, _STREAM_COLS[s]].sum() / (n * len(STREAMS[s]))

@@ -27,7 +27,10 @@ def atomic_write_bytes(path, chunks):
             os.fchmod(fh.fileno(), _default_file_mode())  # mkstemp made it 0o600
             for chunk in chunks:
                 fh.write(chunk)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:  # as above: name path, not the temp file (path is a directory, say)
+            raise OSError(e.errno, e.strerror, path) from e
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

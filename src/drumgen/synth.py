@@ -10,6 +10,7 @@ instrument-conditioning tests a known ground-truth dependency.
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ _CI = {c: i for i, c in enumerate(COMPONENTS)}
 
 FAST_TEMPO_BIN = 3       # from this tempo class on, hi-hat plays sixteenths
 ORNAMENT_OHH_PROB = 0.25
+
+
+def _is_sequence(value):
+    return isinstance(value, Sequence) and not isinstance(value, str)
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,13 @@ class SynthConfig:
             raise ValueError("bars_per_song must be >= 1")
         if self.phrase_len < 2:
             raise ValueError("phrase_len must be >= 2")
+        if not (_is_sequence(self.meters) and all(map(_is_sequence, self.meters))):
+            raise ValueError(f"meters must be a sequence of (numerator, denominator) pairs, "
+                             f"got {self.meters!r}")
         if not self.meters:
             raise ValueError("meters list is empty")
-        low, high = self.tempo_range if len(self.tempo_range) == 2 else (0, 0)
+        tempo = self.tempo_range
+        low, high = tempo if _is_sequence(tempo) and len(tempo) == 2 else (0, 0)
         if not (all(has_field_type(t, float) for t in (low, high)) and 0 < low <= high < math.inf):
             raise ValueError(f"tempo_range needs finite 0 < low <= high, both real numbers, "
                              f"got {self.tempo_range!r}")
@@ -119,11 +128,13 @@ def realize_song(style, bars, rng, title="synth"):
     start = 0
     for bar in bars:
         probs = style.bar_probabilities(bar)
-        for pos in range(bar.steps):
-            for ci, comp in enumerate(COMPONENTS):
-                pr = probs[pos, ci]
-                if pr >= 1.0 or (pr > 0.0 and rng.random() < pr):
-                    drums.append((start + pos, comp))
+        hit = probs >= 1.0
+        # one draw per ornament cell (0 < p < 1), in (step, component) order:
+        # the order that ties a seed to its corpus
+        ornament = (probs > 0.0) & ~hit
+        hit[ornament] = rng.random(np.count_nonzero(ornament)) < probs[ornament]
+        steps, comps = np.nonzero(hit)
+        drums += [(start + pos, COMPONENTS[ci]) for pos, ci in zip(steps.tolist(), comps.tolist())]
         guitar.append((start, bar.steps, style.guitar_pitch))
         start += bar.steps
     for step, comp in drums:

@@ -625,19 +625,33 @@ def test_inspect_prints_summary_and_writes_nothing(pipeline, capsys):
     assert lines[-1] == "checksum OK"
 
 
-@pytest.mark.parametrize("command", ["features", "generate", "embed"])
-def test_output_into_a_missing_directory_names_the_out_path(pipeline, tmp_path, capsys, command):
-    out = tmp_path / "nodir" / "out.file"
+def single_file_argv(pipeline, command):
+    """The arguments, less --out, of a command that writes one file."""
     ckpt = pipeline / "run" / "checkpoint_epoch_0002.json"
-    argv = {"features": ["features", str(pipeline / "generated.json")],
+    return {"features": ["features", str(pipeline / "generated.json")],
             "generate": ["generate", "--checkpoint", str(ckpt),
                          "--conditions", str(pipeline / "corpus" / "synthrock-001.json")],
             "embed": ["embed", str(pipeline / "features.csv"), "--perplexity", "3",
                       "--iterations", "5"]}[command]
-    assert run_cli(argv + ["--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("command", ["features", "generate", "embed"])
+def test_output_into_a_missing_directory_names_the_out_path(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "nodir" / "out.file"
+    assert run_cli(single_file_argv(pipeline, command) + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert str(out) in err and ".tmp-" not in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["features", "generate", "embed"])
+def test_output_onto_an_existing_directory_names_the_out_path(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "outdir"
+    out.mkdir()
+    assert run_cli(single_file_argv(pipeline, command) + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp-" not in err
+    assert os.listdir(tmp_path) == ["outdir"] and os.listdir(out) == []
 
 
 def flip_byte_in_section(src, dst, section):

@@ -318,3 +318,74 @@ def test_song_survives_save_load(song):
         loaded = load_song(path)
     assert loaded == song
     quantize_song(loaded)  # every event lies inside the grid
+
+
+# pitches at, between and around the register cuts, and tempos at and just
+# below the bin edges
+CUT_PITCHES = sorted({c + d for c in enc.BASS_REGISTER_CUTS + enc.GUITAR_REGISTER_CUTS
+                      for d in (-1, -0.5, 0, 0.5, 1)})
+EDGE_TEMPI = [t for e in enc.TEMPO_EDGES for t in (e, e - 0.1, float(np.nextafter(e, 0)))] + [60.0]
+
+
+def reference_note_class(events, t, cuts):
+    """Class of one melodic track at step t: rest 0, hold 1, or an onset,
+    2 + the number of cuts at or below the lowest sounding pitch."""
+    sounding, onset = [], False
+    for step, dur, pitch in events:
+        s = snap_step(step)
+        if s <= t < s + max(1, snap_step(dur)):
+            sounding.append(pitch)
+            onset |= s == t
+    if not sounding:
+        return 0
+    return 2 + sum(c <= min(sounding) for c in cuts) if onset else 1
+
+
+def reference_metrical_class(pos):
+    if pos == 0:
+        return 0
+    if pos % 4 == 0:
+        return 1
+    return 2 if pos % 2 == 0 else 3
+
+
+def reference_condition_matrix(song):
+    """The condition vectors, built one step at a time from the song itself."""
+    rows = []
+    for b, bar in enumerate(song.bars):
+        start = sum(x.steps for x in song.bars[:b])
+        for pos in range(bar.steps):
+            t = start + pos
+            v = np.zeros(enc.COND_DIM)
+            guitar = reference_note_class(song.guitar, t, enc.GUITAR_REGISTER_CUTS)
+            bass = reference_note_class(song.bass, t, enc.BASS_REGISTER_CUTS)
+            sig = enc.SIGNATURES.index((bar.numerator, bar.denominator))
+            v[enc.GUITAR_BLOCK.start + guitar] = 1
+            v[enc.BASS_BLOCK.start + bass] = 1
+            v[enc.METER_BLOCK.start + reference_metrical_class(pos)] = 1
+            v[enc.SIGNATURE_BLOCK.start + sig] = 1
+            v[enc.TEMPO_BLOCK.start + sum(bar.tempo_bpm >= e for e in enc.TEMPO_EDGES)] = 1
+            v[enc.GROUPING_BLOCK.start + enc.PHRASE_MARKS.index(bar.phrase_mark)] = 1
+            rows.append(v)
+    return np.array(rows)
+
+
+@st.composite
+def conditioned_songs(draw):
+    bars = draw(st.lists(st.builds(lambda sig, bpm, mark: Bar(*sig, bpm, mark),
+                                   st.sampled_from(enc.SIGNATURES), st.sampled_from(EDGE_TEMPI),
+                                   st.sampled_from(enc.PHRASE_MARKS)), min_size=1, max_size=4))
+    total = sum(b.steps for b in bars)
+    notes = st.lists(st.tuples(st.one_of(st.integers(0, total - 1), st.floats(0, total - 0.5)),
+                               st.one_of(st.integers(1, 12), st.floats(0, 12)),
+                               st.sampled_from(CUT_PITCHES)), max_size=8)
+    return Song("t", bars, guitar=draw(notes), bass=draw(notes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(conditioned_songs())
+def test_condition_matrix_equals_a_per_step_reference(song):
+    grid = quantize_song(song)
+    npt.assert_array_equal(enc.condition_matrix(grid), reference_condition_matrix(song))
+    npt.assert_array_equal(grid.metrical_class,
+                           [reference_metrical_class(p) for p in grid.pos_in_bar])

@@ -1,13 +1,14 @@
 import hashlib
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from drumgen.encoding import quantize_song, load_song
-from drumgen.synth import (STYLES, SynthConfig, phrase_mark_for, synth_corpus,
-                           synth_song, synth_songs)
+from drumgen.encoding import COMPONENTS, SIGNATURES, Bar, load_song, quantize_song
+from drumgen.synth import (STYLES, StyleSpec, SynthConfig, phrase_mark_for, realize_song,
+                           synth_corpus, synth_song, synth_songs)
 
 SYNTHROCK = STYLES["synthrock"]
 
@@ -152,6 +153,46 @@ def test_config_validation():
                          ("phrase_len", True)):
         with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
             SynthConfig(**{field: value})
-    for tempo in ((80, "x"), (True, 90.0), (None, 90.0)):
+    for tempo in ((80, "x"), (True, 90.0), (None, 90.0), 5, None, "ab", (80.0, 90.0, 100.0)):
         with pytest.raises(ValueError, match="tempo_range needs finite 0 < low <= high, both real numbers"):
             SynthConfig(tempo_range=tempo)
+    for meters in (44, "4/4", ("4/4",), (44,), ((4, 4), 7), None):
+        with pytest.raises(ValueError, match="meters must be a sequence of"):
+            SynthConfig(meters=meters)
+
+
+def reference_realize(style, bars, rng):
+    """realize_song's drums, guitar and bass by one rng.random() call per
+    ornament cell (0 < p < 1), visited step by step, component by component."""
+    drums, guitar, start = [], [], 0
+    for bar in bars:
+        probs = style.bar_probabilities(bar)
+        for pos in range(bar.steps):
+            for ci, comp in enumerate(COMPONENTS):
+                pr = probs[pos, ci]
+                if pr >= 1.0 or (pr > 0.0 and rng.random() < pr):
+                    drums.append((start + pos, comp))
+        guitar.append((start, bar.steps, style.guitar_pitch))
+        start += bar.steps
+    bass = [(step, 2, style.bass_pitch) for step, comp in drums if comp == "kick"]
+    return drums, guitar, bass
+
+
+def dense_probabilities(bar):
+    """Many ornament cells per bar, so that the order of the draws shows."""
+    rng = np.random.default_rng(bar.numerator * 16 + bar.denominator)
+    return rng.choice([0.0, 0.3, 0.5, 0.9, 1.0], size=(bar.steps, len(COMPONENTS)))
+
+
+@pytest.mark.parametrize("style", [SYNTHROCK, StyleSpec("dense", dense_probabilities)],
+                         ids=lambda s: s.name)
+def test_realize_song_equals_a_per_cell_reference(style):
+    for seed, (num, den), offset in itertools.product(range(3), SIGNATURES, range(4)):
+        tempo = (95.0, 125.0)[seed % 2]  # eighth and sixteenth hi-hats
+        bars = [Bar(num, den, tempo, phrase_mark_for(i + offset, 4)) for i in range(6)]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        song = realize_song(style, bars, rng)
+        drums, guitar, bass = reference_realize(style, bars, ref_rng)
+        assert song.drums == drums and song.guitar == guitar and song.bass == bass
+        assert all(type(step) is int for step, _ in song.drums)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
