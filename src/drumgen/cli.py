@@ -315,7 +315,7 @@ def cmd_gradcheck(args):
     print(f"max relative gradient error over {params.values.size} "
           f"parameters: {err:.3e} ({'OK' if ok else 'FAIL'} vs 1e-4)")
 
-    sizes = (mc.hidden, layers.HOIST_MAX_LANE_UNITS + 1)
+    sizes = (mc.hidden, layers.SMALL_STEP_UNITS + 1)  # small and large steps
     lane_err, worst, hidden = max(_lane_gradient_error(dataclasses.replace(mc, hidden=h), seq,
                                                        args.seed) for h in sizes)
     lane_ok = lane_err <= 1e-10

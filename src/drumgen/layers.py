@@ -98,9 +98,18 @@ def stacked_lstm_step(layers, x, state, dropout_rate, training, rng):
 # of the flat values and gradient buffers, and a layer's tensors are
 # "<layer>.W", "<layer>.b" or "<layer>.Wx", "<layer>.Wh", "<layer>.bias".
 # Each op's backward adds into dw and returns the input gradient.
-# Up to HOIST_MAX_LANE_UNITS lanes x hidden units, where call overhead dominates, the
-# LSTM backward takes BPTT's factors before the loop and stacks the streams' dZ Wh.
-HOIST_MAX_LANE_UNITS = 192
+# Up to SMALL_STEP_UNITS lanes x hidden units a step is small, call overhead dominates and
+# training groups K, H and T; the LSTM backward then takes BPTT's factors per slice, not step.
+SMALL_STEP_UNITS = 192
+
+
+def is_small_step(lanes, hidden):
+    return lanes * hidden <= SMALL_STEP_UNITS
+
+
+def _stack(mats):
+    """Matrices as one C-contiguous [S, rows, cols] operand: a view of one, else a copy."""
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
 
 
 def linear_rows(x, w, b):
@@ -130,7 +139,7 @@ def lstm_lanes_forward(w, layers, xs, h0, c0):
     layers name the streams' LSTM layers of one hidden size in w, xs their
     inputs [T, B, in_s], h0 and c0 [S, B, hidden]. Per stream, Wx x + bias
     is one GEMM over all T*B rows; each step is one lstm_lanes_step for the
-    group, on one stack of the streams' Wh copied for this call. Returns
+    group, on one stack of the streams' Wh (_stack). Returns
     (hs, cs, cache): hs and cs are [S, T+1, B, hidden], step 0 the initial
     state; cache feeds one lstm_lanes_backward.
     """
@@ -142,7 +151,7 @@ def lstm_lanes_forward(w, layers, xs, h0, c0):
         z += w[f"{layer}.bias"]
     hs, cs = np.empty((2, len(layers), steps + 1, lanes, n))
     hs[:, 0], cs[:, 0] = h0, c0
-    whs = np.stack([w[f"{layer}.Wh"] for layer in layers])
+    whs = _stack([w[f"{layer}.Wh"] for layer in layers])
     rec = np.empty((len(layers), lanes, 4 * n))
     for t in range(steps):
         lstm_lanes_step(whs, gates[:, t], hs[:, t], cs[:, t], hs[:, t + 1], cs[:, t + 1], rec)
@@ -182,10 +191,10 @@ def lstm_lanes_backward(w, dw, layers, cache, dh_out):
     """Truncated BPTT through lstm_lanes_forward of the same layers.
 
     dh_out [S, T, B, hidden] is the loss gradient at each step's output h;
-    no gradient flows into the initial state. Per step the element-wise
-    block runs once for the group, dZ Wh once per stream; up to
-    HOIST_MAX_LANE_UNITS, as broadcast products by factors taken before the
-    loop and one stacked dZ Wh. The gate buffer is reused for dZ, which then forms
+    no gradient flows into the initial state. Blocks of steps, the slice for
+    a small step (is_small_step) else one step, take the element-wise factors
+    at once; then each step is seven calls for the group, one a stacked dZ Wh.
+    The bits do not depend on the block. The gate buffer becomes dZ, which forms
     each stream's dWx = dZ^T x and dWh = dZ^T h_prev as single GEMMs, so the
     call empties the cache and raises on an empty one. Returns each stream's
     dx [T, B, in_s].
@@ -196,34 +205,24 @@ def lstm_lanes_backward(w, dw, layers, cache, dh_out):
     cache.clear()
     streams, steps, lanes, width = gates.shape
     n = width // 4
-    tanh_c = np.tanh(cs[:, 1:])
+    block = steps if is_small_step(lanes, n) else 1
+    wh = _stack([w[f"{layer}.Wh"] for layer in layers])
     dh, dc = np.zeros((2, streams, lanes, n))
-    whs = [w[f"{layer}.Wh"] for layer in layers]
-    if lanes * n <= HOIST_MAX_LANE_UNITS:
-        i, f, g, o = (gates[..., k * n:(k + 1) * n] for k in range(4))
+    for start in range(steps - block, -1, -block):
+        z, c = gates[:, start:start + block], cs[:, start:start + block + 1]
+        i, f, g, o = (z[..., k * n:(k + 1) * n] for k in range(4))
+        tanh_c = np.tanh(c[:, 1:])
         dc_dh, f = o * (1.0 - tanh_c * tanh_c), f.copy()
-        ifg, wh = gates[..., :3 * n].reshape(streams, steps, lanes, 3, n), np.stack(whs)
-        ifg[...] = np.stack([g * i * (1.0 - i), cs[:, :-1] * f * (1.0 - f), i * (1.0 - g * g)], 3)
+        ifg = z[..., :3 * n].reshape(streams, block, lanes, 3, n)
+        ifg[...] = np.stack([g * i * (1.0 - i), c[:, :-1] * f * (1.0 - f), i * (1.0 - g * g)], 3)
         o *= tanh_c * (1.0 - o)
-        for t in range(steps - 1, -1, -1):
-            dh += dh_out[:, t]
+        for t in range(block - 1, -1, -1):
+            dh += dh_out[:, start + t]
             dc += dh * dc_dh[:, t]
             ifg[:, t] *= dc[:, :, None]
             o[:, t] *= dh
             dc *= f[:, t]
-            np.matmul(gates[:, t], wh, out=dh)
-    else:
-        for t in range(steps - 1, -1, -1):
-            z, tc = gates[:, t], tanh_c[:, t]
-            i, f, g, o = z[..., :n], z[..., n:2 * n], z[..., 2 * n:3 * n], z[..., 3 * n:]
-            dh += dh_out[:, t]
-            dc += dh * o * (1.0 - tc * tc)
-            d_ifgo = [dc * g * i * (1.0 - i), dc * cs[:, t] * f * (1.0 - f),
-                      dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)]
-            dc *= f
-            np.concatenate(d_ifgo, axis=-1, out=z)
-            for wh, dz, d in zip(whs, z, dh):
-                np.matmul(dz, wh, out=d)
+            np.matmul(z[:, t], wh, out=dh)
     dxs = []
     for layer, x, dz, h in zip(layers, xs, gates, hs):
         dz = dz.reshape(steps * lanes, width)

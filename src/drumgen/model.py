@@ -24,7 +24,7 @@ from .autodiff import Tensor, Tape, backward
 # perfbench/spans.py wraps them under this module's name when it traces a run.
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .layers import LinearLayer, LSTMLayer, lstm_step, stacked_lstm_step, \
-    dropout_apply, init_layer, linear_rows, linear_rows_backward, \
+    dropout_apply, init_layer, linear_rows, linear_rows_backward, is_small_step, \
     lstm_lanes_forward, lstm_lanes_backward, lstm_lanes_step, head_ce_lanes, \
     softmax_rows_inplace
 from .encoding import STREAM_NAMES, VOCAB_SIZES, COND_DIM, condition_windows, \
@@ -37,9 +37,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 GRAD_CLIP_NORM = 5.0
 ADAM_CHUNK = 32768  # elements per adam_step slot
-# Training groups K, H and T's LSTM layers up to this hidden size, where call
-# overhead dominates; above it, one stream at a time keeps one stream's caches alive.
-STACK_STREAMS_MAX_HIDDEN = 128
 
 
 def has_field_type(value, kind):
@@ -195,8 +192,8 @@ def _wave(cfg, w, dw, slices, states, keeps):
     loss weight 0. states holds each lane's initial state as detach_state
     returns it (None = zeros), keeps its [b-a x sum(_dropout_widths)] keep
     mask (None without dropout). Adds into dw (lane_batch_backward). Returns
-    each slice's mean loss and end state; the streams run grouped up to
-    STACK_STREAMS_MAX_HIDDEN."""
+    each slice's mean loss and end state; the streams run grouped for a small
+    step (layers.is_small_step), else one at a time."""
     h = cfg.hidden
     lengths = [b - a for _, a, b in slices]
     steps, lanes = max(lengths), len(slices)
@@ -239,7 +236,7 @@ def _wave(cfg, w, dw, slices, states, keeps):
     state = np.stack([np.zeros((2, 3, cfg.lstm_layers * h)) if x is None else x for x in states], 2)
     # each stream's mask columns: its layers' inputs, then its top output
     cols = [[next(columns) for _ in range(cfg.lstm_layers + 1)] for _ in STREAM_NAMES]
-    for group in [(0, 1, 2)] if h <= STACK_STREAMS_MAX_HIDDEN else [(0,), (1,), (2,)]:
+    for group in [(0, 1, 2)] if is_small_step(lanes, h) else [(0,), (1,), (2,)]:
         names = [STREAM_NAMES[si] for si in group]
         xs = [np.hstack([np.eye(VOCAB_SIZES[si])[words[:, si]], pre_out]) for si in group]
         caches = []

@@ -14,7 +14,7 @@ from drumgen import cli
 from drumgen.cli import OPTIONS, build_parser, main
 from drumgen.encoding import encode_sequence, load_song, quantize_song
 from drumgen.features import GLOBAL_FEATURE_NAMES, read_features_csv, write_features_csv
-from drumgen.layers import HOIST_MAX_LANE_UNITS
+from drumgen.layers import SMALL_STEP_UNITS
 from drumgen import model as dm_model
 from drumgen.model import load_checkpoint
 
@@ -535,8 +535,8 @@ def test_gradcheck_passes(capsys):
     assert run_cli(["gradcheck", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and "OK" in lines[0]
-    # one size in each recurrence order of the lane ops
-    sizes = (4, HOIST_MAX_LANE_UNITS + 1)
+    # one size on each side of the lane ops' small-step rule
+    sizes = (4, SMALL_STEP_UNITS + 1)
     assert lines[1].startswith(f"training batch, lane path vs tape path at hidden "
                                f"{sizes[0]} and {sizes[1]}: ")
     assert lines[1].endswith("(OK vs 1e-10)")

@@ -453,23 +453,22 @@ def lane_batches(draw):
             batch.append((key, seq, start, start + n))
             start += n
         carry[key] = rng.normal(size=(2, 3, cfg.lstm_layers * cfg.hidden))
-    # lanes x hidden up to which the LSTM ops hoist: none, one-lane waves, all
-    hoist = draw(st.sampled_from([0, cfg.hidden, 4 * cfg.hidden]))
-    return cfg, batch, carry, draw(st.booleans()), hoist
+    # lanes x hidden up to which a step is small: none, one-lane waves, all
+    small = draw(st.sampled_from([0, cfg.hidden, 4 * cfg.hidden]))
+    return cfg, batch, carry, small
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(lane_batches())
 def test_lane_batch_matches_tape_path_on_drawn_batches(case):
     """Fuzzed oracle for lane_batch_backward, with the contracts of
-    test_lane_batch_matches_tape_path: grouped and one stream at a time,
-    each with the hoisted and the per-step recurrence order in every wave or
-    in some."""
-    cfg, batch, carry, grouped, hoist = case
+    test_lane_batch_matches_tape_path: with small steps (streams grouped, BPTT
+    factors per slice) and large ones (one stream at a time, factors per step)
+    in every wave or in some."""
+    cfg, batch, carry, small = case
     params = ModelParams(cfg, np.random.default_rng(len(batch)))
     randomized_heads(params, 11)
-    with mock.patch.object(dm, "STACK_STREAMS_MAX_HIDDEN", cfg.hidden - (not grouped)), \
-            mock.patch.object(dl, "HOIST_MAX_LANE_UNITS", hoist):
+    with mock.patch.object(dl, "SMALL_STEP_UNITS", small):
         lane = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
     tape = run_batch(dm.tape_batch_backward, params, batch, carry, 13)
 
@@ -510,7 +509,7 @@ def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monk
     grouped = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
     assert set(sizes) == {3}
     sizes.clear()
-    monkeypatch.setattr(dm, "STACK_STREAMS_MAX_HIDDEN", 4)
+    monkeypatch.setattr(dl, "SMALL_STEP_UNITS", 0)
     single = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
     assert set(sizes) == {1}
 
@@ -527,27 +526,64 @@ def test_lane_batch_same_with_streams_grouped_or_one_at_a_time(tiny_corpus, monk
 @pytest.mark.parametrize("hidden, layers", [(48, 2), (5, 3)])
 def test_lane_batch_same_in_the_hoisted_and_the_per_step_order(tiny_corpus, monkeypatch,
                                                                 hidden, layers):
-    """Up to layers.HOIST_MAX_LANE_UNITS lanes x hidden units the LSTM backward
-    takes the element-wise BPTT factors before the time loop and stacks the
-    streams' dZ Wh; the per-step order above it gives the same losses, end
-    states and gradients within 1e-12 and the same generator state."""
-    assert 3 * hidden <= dl.HOIST_MAX_LANE_UNITS  # the first wave has 3 lanes
+    """Up to layers.SMALL_STEP_UNITS lanes x hidden units the LSTM backward
+    takes the element-wise BPTT factors for a whole slice and stacks the
+    streams' dZ Wh; taking them step by step, one stream at a time, gives the
+    same losses, end states, gradients and generator state bit for bit."""
+    assert 3 * hidden <= dl.SMALL_STEP_UNITS  # the first wave has 3 lanes
     params = ModelParams(tiny_config(hidden=hidden, lstm_layers=layers), np.random.default_rng(10))
     randomized_heads(params, 11)
     a, b = tiny_corpus
     carry = {0: np.random.default_rng(12).normal(size=(2, 3, layers * hidden))}
     batch = [(0, a, 8, 16), (1, b, 0, 8), (1, b, 8, 13), (2, a, 0, 5)]
     hoisted = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
-    monkeypatch.setattr(dl, "HOIST_MAX_LANE_UNITS", 0)
+    monkeypatch.setattr(dl, "SMALL_STEP_UNITS", 0)
     per_step = run_batch(dm.lane_batch_backward, params, batch, carry, 13)
 
-    npt.assert_allclose(hoisted[0], per_step[0], rtol=1e-12)
-    for key in carry:
-        npt.assert_allclose(hoisted[1][key], per_step[1][key], rtol=0, atol=1e-12)
+    assert hoisted[0] == per_step[0]
+    assert list(hoisted[1]) == list(per_step[1]) == [0, 1, 2]
+    for key in hoisted[1]:
+        npt.assert_array_equal(hoisted[1][key].view(np.uint64), per_step[1][key].view(np.uint64))
     for name, g in per_step[2].items():
         assert np.any(g != 0.0), name
-        assert np.max(np.abs(hoisted[2][name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+        npt.assert_array_equal(hoisted[2][name].view(np.uint64), g.view(np.uint64))
     assert hoisted[3] == per_step[3]
+
+
+def test_training_bits_do_not_depend_on_the_small_step_rule(tiny_corpus, monkeypatch):
+    """Two epochs at hidden 100 with dropout, where one-lane waves are small
+    and waves of two or more lanes large, over ragged waves and pieces carried
+    from batch to batch, give the same values, moments, losses and generator
+    state bit for bit with every step small, at the default rule, or none."""
+    a, b = tiny_corpus
+    corpus = [a, b] + [EncodedSequence(s.targets[:n], s.cond[:n], s.w_past, s.w_future)
+                       for s, n in ((b, 37), (a, 21))]
+    cfg = tiny_config(hidden=100, seq_len=16, batch_size=5)
+    seen = set()
+    real_wave, real_batch = dm._wave, dm.lane_batch_backward
+
+    def wave(cfg, w, dw, slices, *args):
+        seen.add(("small", dl.is_small_step(len(slices), cfg.hidden)))
+        seen.add(("ragged", len({b - a for _, a, b in slices}) > 1))
+        return real_wave(cfg, w, dw, slices, *args)
+
+    def lane_batch(config, w, dw, batch, carry, rng):
+        seen.add(("carried", any(a > 0 and key in carry for key, _, a, _ in batch)))
+        return real_batch(config, w, dw, batch, carry, rng)
+    monkeypatch.setattr(dm, "_wave", wave)
+    monkeypatch.setattr(dm, "lane_batch_backward", lane_batch)
+    runs = []
+    for units in (dl.SMALL_STEP_UNITS, 0, 10**9):
+        monkeypatch.setattr(dl, "SMALL_STEP_UNITS", units)
+        runs.append(train(corpus, cfg, epochs=2, snapshot_epochs=(), seed=4)[-1])
+        if not runs[1:]:
+            assert {("small", True), ("small", False), ("ragged", True),
+                    ("carried", True)} <= seen
+    for run in runs[1:]:
+        assert run.loss_history == runs[0].loss_history
+        assert run.rng_state == runs[0].rng_state
+        for name in ("values", "m", "v"):
+            assert getattr(run, name).tobytes() == getattr(runs[0], name).tobytes(), name
 
 
 def test_lane_path_carries_state_as_arrays_without_tensors(tiny_corpus, monkeypatch):
@@ -592,11 +628,11 @@ def test_train_resume_and_generate_build_no_tape_objects(tiny_corpus, tmp_path, 
     assert words.shape == (len(seq), 3)
 
 
-@pytest.mark.parametrize("hidden, layers", [(5, 3), (130, 2)])
+@pytest.mark.parametrize("hidden, layers", [(5, 3), (130, 2), (193, 2)])
 def test_training_carry_and_inference_state_share_one_layout(tiny_corpus, hidden, layers):
     """After one slice, the carry of the lane path equals InferenceRun's
-    [hs, cs] fed the same words: streams grouped (hidden 5) and one at a
-    time (hidden 130)."""
+    [hs, cs] fed the same words: streams grouped (one lane at hidden 5 and
+    130) and one at a time (hidden 193)."""
     params = ModelParams(tiny_config(hidden=hidden, lstm_layers=layers, dropout=0.0),
                          np.random.default_rng(20))
     seq = tiny_corpus[0]
@@ -612,15 +648,16 @@ def test_training_carry_and_inference_state_share_one_layout(tiny_corpus, hidden
 @pytest.mark.parametrize("hidden, group", [(4, 3), (130, 1)])
 def test_train_groups_the_streams_only_at_small_hidden_sizes(tiny_corpus, monkeypatch,
                                                               hidden, group):
-    """One lstm_lanes_forward call per layer and wave for all three
-    streams up to STACK_STREAMS_MAX_HIDDEN, three above it."""
+    """One lstm_lanes_forward call per layer and wave for all three streams
+    up to layers.SMALL_STEP_UNITS lanes x hidden units, three above it: here
+    each wave holds both pieces as two lanes."""
     waves = []
     real_wave = dm._wave
-    monkeypatch.setattr(dm, "_wave", lambda *args: waves.append(1) or real_wave(*args))
+    monkeypatch.setattr(dm, "_wave", lambda *args: waves.append(len(args[3])) or real_wave(*args))
     sizes = counting_groups(monkeypatch)
-    train(tiny_corpus, tiny_config(hidden=hidden, lstm_layers=2), epochs=1,
+    train(tiny_corpus, tiny_config(hidden=hidden, lstm_layers=2, seq_len=64), epochs=2,
           snapshot_epochs=(), seed=0)
-    assert len(waves) > 1
+    assert waves == [2, 2]
     assert sizes == [group] * (2 * len(waves) * 3 // group)
 
 
