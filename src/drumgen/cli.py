@@ -246,6 +246,9 @@ def cmd_generate(args):
                                    rng_seed=s.seed)
     weights = dm_model.load_weights(args.checkpoint)
     song, track = _read_song(args.conditions, sampling.condition_track_from_song)
+    if gc.seed_steps > len(track):
+        raise ValueError(f"--conditions song file {args.conditions} covers {len(track)} "
+                         f"steps, fewer than --seed-steps {gc.seed_steps}")
     words = sampling.generate(weights, track, gc)
     out_song = Song(title=f"{song.title}+generated", bars=song.bars,
                     guitar=song.guitar, bass=song.bass,

@@ -186,14 +186,15 @@ def _dropout_widths(config):
     return widths
 
 
-def _wave(cfg, w, dw, slices, states, keeps):
+def _wave(cfg, w, dw, slices, states, mask):
     """Forward and backward over one wave: slices [(seq, a, b)] of
     different pieces side by side as lanes, padded to the longest with
     loss weight 0. states holds each lane's initial state as detach_state
-    returns it (None = zeros), keeps its [b-a x sum(_dropout_widths)] keep
-    mask (None without dropout). Adds into dw (lane_batch_backward). Returns
-    each slice's mean loss and end state; the streams run grouped for a small
-    step (layers.is_small_step), else one at a time."""
+    returns it (None = zeros), mask their keep masks [steps, lanes,
+    sum(_dropout_widths)], zero padded (None without dropout). Adds into dw
+    (lane_batch_backward). Returns each slice's mean loss and end state; the
+    streams run grouped for a small step (layers.is_small_step), else one at
+    a time."""
     h = cfg.hidden
     lengths = [b - a for _, a, b in slices]
     steps, lanes = max(lengths), len(slices)
@@ -213,7 +214,7 @@ def _wave(cfg, w, dw, slices, states, keeps):
     pre = time_major([p for p, _ in windows])
     post = time_major([q for _, q in windows])
     weights = time_major([np.full((n, 1), 1.0 / n) for n in lengths]).ravel()
-    mask = None if keeps[0] is None else time_major(keeps, bool)
+    mask = None if mask is None else mask.reshape(rows, -1)
     keep_scale = 1.0 / (1.0 - cfg.dropout)
     bounds = np.cumsum([0] + _dropout_widths(cfg))
     columns = iter(zip(bounds[:-1], bounds[1:]))
@@ -265,6 +266,7 @@ def _wave(cfg, w, dw, slices, states, keeps):
             dh = [drop(dx.reshape(rows, -1), cols[si][li]) for dx, si in zip(dxs, group)]
         for dx, si in zip(dh, group):
             d_pre += dx[:, VOCAB_SIZES[si]:]
+        del dh, dxs, dx  # the layer-1 input gradients, freed before the next stream
     linear_rows_backward(dw, "pre_ff", pre, drop(d_pre, pre_cols))
     linear_rows_backward(dw, "post_ff", post, drop(d_post, post_cols))
 
@@ -294,21 +296,27 @@ def lane_batch_backward(config, w, dw, batch, carry, rng):
     into dw. Returns (the per-slice mean losses in batch order,
     {key: detached end state of the piece's last slice here}).
     """
-    rate = config.dropout
-    width = sum(_dropout_widths(config))
-    keeps = [rng.random((b - a, width)) >= rate if rate > 0.0 else None
-             for _, _, a, b in batch]
+    rate, width = config.dropout, sum(_dropout_widths(config))
     groups = {}
     for i, (key, _, _, _) in enumerate(batch):
         groups.setdefault(key, []).append(i)
+    waves = [[idx[k] for idx in groups.values() if len(idx) > k]
+             for k in range(max(len(idx) for idx in groups.values()))]
+    # each wave's keep masks as _wave reads them, [steps, lanes, width]: no per-slice copy
+    masks = [np.zeros((max(batch[i][3] - batch[i][2] for i in lanes), len(lanes), width), bool)
+             if rate > 0.0 else None for lanes in waves]
+    if rate > 0.0:
+        lane_of = {i: (mask, j) for mask, lanes in zip(masks, waves) for j, i in enumerate(lanes)}
+        for i, (_, _, a, b) in enumerate(batch):
+            mask, j = lane_of[i]
+            mask[:b - a, j] = rng.random((b - a, width)) >= rate
     states = {key: carry[key] if batch[idx[0]][2] > 0 else None
               for key, idx in groups.items()}
     losses = [None] * len(batch)
-    for wave in range(max(len(idx) for idx in groups.values())):
-        lanes = [idx[wave] for idx in groups.values() if len(idx) > wave]
+    for lanes in waves:
         keys = [batch[i][0] for i in lanes]
         wave_losses, ends = _wave(config, w, dw, [batch[i][1:] for i in lanes],
-                                  [states[k] for k in keys], [keeps[i] for i in lanes])
+                                  [states[k] for k in keys], masks.pop(0))
         for i, loss in zip(lanes, wave_losses):
             losses[i] = loss
         states.update(zip(keys, ends))
@@ -621,6 +629,11 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         raise ValueError(f"snapshot_epochs must be ints of at least 1, got {snapshot_epochs!r}")
     if not has_field_type(log_every, int) or log_every < 0:
         raise ValueError(f"log_every must be an int of at least 0, got {log_every!r}")
+    if not has_field_type(seed, int) or seed < 0:
+        raise ValueError(f"seed must be an int of at least 0, got {seed!r}")
+    if resume is None and not isinstance(config, ModelConfig):
+        raise TypeError(f"config must be a ModelConfig when not resuming, "
+                        f"got {type(config).__name__}")
     if resume is None:
         rng = np.random.default_rng(seed)
         values = init_values(config, rng)

@@ -26,6 +26,8 @@ class GenerationConfig:
         _check_temperature(self.temperature)
         if self.seed_steps < 1:
             raise ValueError("seed_steps must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass

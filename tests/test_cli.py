@@ -480,6 +480,17 @@ def test_unsupported_time_signature_names_the_song_file(pipeline, tmp_path, caps
     assert run_cli(["features", str(song), "--out", str(tmp_path / "f.csv")]) == 0
 
 
+def test_generate_seed_longer_than_the_song_names_the_file_and_flag(pipeline, tmp_path, capsys):
+    song = tmp_path / "short.json"
+    song.write_text(json.dumps({"bars": [{"num": 2, "den": 4, "bpm": 120.0, "phrase": "mid"}]}))
+    code = run_cli(["generate", "--checkpoint", str(pipeline / "run" / "checkpoint_epoch_0002.json"),
+                    "--conditions", str(song), "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert (f"--conditions song file {song} covers 8 steps, fewer than --seed-steps 16"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda vec: np.where(np.arange(len(vec)) == 3, np.nan, vec),
      "f.csv, line 3: nan is not a finite number"),

@@ -291,6 +291,20 @@ def test_train_rejects_log_every_below_zero_or_not_int(tiny_corpus, monkeypatch,
         train(tiny_corpus, tiny_config(), epochs=2, log_every=log_every)
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"config": None}, TypeError, "config must be a ModelConfig when not resuming, got NoneType"),
+    ({"config": {"hidden": 6}}, TypeError, "config must be a ModelConfig .*got dict"),
+    ({"seed": -1}, ValueError, "seed must be an int of at least 0, got -1"),
+    ({"seed": 1.5}, ValueError, "seed must be an int of at least 0, got 1.5"),
+    ({"seed": True}, ValueError, "seed must be an int of at least 0, got True"),
+], ids=["config-none", "config-dict", "seed-negative", "seed-float", "seed-bool"])
+def test_train_rejects_config_and_seed_before_drawing_weights(tiny_corpus, monkeypatch,
+                                                              kwargs, error, message):
+    monkeypatch.setattr(dm, "init_values", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(error, match=message):
+        train(tiny_corpus, **{"config": tiny_config(), "epochs": 1, **kwargs})
+
+
 def test_on_snapshot_sees_the_training_buffers_at_its_epoch(tiny_corpus):
     """The callback replaces the default copy: it gets a checkpoint that
     shares the live buffers, and the returned list holds only the final one."""

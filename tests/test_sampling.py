@@ -72,6 +72,11 @@ def test_generation_config_rejects_values_of_wrong_type(field, value):
         GenerationConfig(**{field: value})
 
 
+def test_generation_config_rejects_negative_rng_seed():
+    with pytest.raises(ValueError, match="rng_seed must be non-negative, got -1"):
+        GenerationConfig(rng_seed=-1)
+
+
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
 def test_temperature_rejects_non_finite(temperature):
     with pytest.raises(ValueError, match="finite"):
