@@ -212,16 +212,17 @@ def lstm_lanes_backward(w, dw, layers, cache, dh_out):
         z, c = gates[:, start:start + block], cs[:, start:start + block + 1]
         i, f, g, o = (z[..., k * n:(k + 1) * n] for k in range(4))
         tanh_c = np.tanh(c[:, 1:])
-        dc_dh, f = o * (1.0 - tanh_c * tanh_c), f.copy()
-        ifg = z[..., :3 * n].reshape(streams, block, lanes, 3, n)
-        ifg[...] = np.stack([g * i * (1.0 - i), c[:, :-1] * f * (1.0 - f), i * (1.0 - g * g)], 3)
+        dc_dh, keep_f = o * (1.0 - tanh_c * tanh_c), f.copy()
+        i[...], f[...], g[...] = (g * i * (1.0 - i), c[:, :-1] * keep_f * (1.0 - keep_f),
+                                  i * (1.0 - g * g))
         o *= tanh_c * (1.0 - o)
+        ifg = z[..., :3 * n].reshape(streams, block, lanes, 3, n)
         for t in range(block - 1, -1, -1):
             dh += dh_out[:, start + t]
             dc += dh * dc_dh[:, t]
             ifg[:, t] *= dc[:, :, None]
             o[:, t] *= dh
-            dc *= f[:, t]
+            dc *= keep_f[:, t]
             np.matmul(z[:, t], wh, out=dh)
     dxs = []
     for layer, x, dz, h in zip(layers, xs, gates, hs):

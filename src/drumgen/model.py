@@ -302,12 +302,12 @@ def lane_batch_backward(config, w, dw, batch, carry, rng):
         groups.setdefault(key, []).append(i)
     waves = [[idx[k] for idx in groups.values() if len(idx) > k]
              for k in range(max(len(idx) for idx in groups.values()))]
-    # each wave's keep masks as _wave reads them, [steps, lanes, width]: no per-slice copy
-    masks = [np.zeros((max(batch[i][3] - batch[i][2] for i in lanes), len(lanes), width), bool)
-             if rate > 0.0 else None for lanes in waves]
-    if rate > 0.0:
+    masks = [None] * len(waves)
+    if rate > 0.0:  # each wave's keep masks as _wave reads them, [steps, lanes, width]
+        masks = [np.zeros((max(batch[i][3] - batch[i][2] for i in lanes), len(lanes), width), bool)
+                 for lanes in waves]
         lane_of = {i: (mask, j) for mask, lanes in zip(masks, waves) for j, i in enumerate(lanes)}
-        for i, (_, _, a, b) in enumerate(batch):
+        for i, (_, _, a, b) in enumerate(batch):  # in batch order, straight into the slice's lane
             mask, j = lane_of[i]
             mask[:b - a, j] = rng.random((b - a, width)) >= rate
     states = {key: carry[key] if batch[idx[0]][2] > 0 else None

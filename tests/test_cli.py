@@ -483,8 +483,9 @@ def test_unsupported_time_signature_names_the_song_file(pipeline, tmp_path, caps
 def test_generate_seed_longer_than_the_song_names_the_file_and_flag(pipeline, tmp_path, capsys):
     song = tmp_path / "short.json"
     song.write_text(json.dumps({"bars": [{"num": 2, "den": 4, "bpm": 120.0, "phrase": "mid"}]}))
-    code = run_cli(["generate", "--checkpoint", str(pipeline / "run" / "checkpoint_epoch_0002.json"),
-                    "--conditions", str(song), "--out", str(tmp_path / "out.json")])
+    ckpt = pipeline / "run" / "checkpoint_epoch_0002.json"
+    code = run_cli(["generate", "--checkpoint", str(ckpt), "--conditions", str(song),
+                    "--out", str(tmp_path / "out.json")])
     assert code == 1
     assert (f"--conditions song file {song} covers 8 steps, fewer than --seed-steps 16"
             in capsys.readouterr().err)
