@@ -164,9 +164,13 @@ def _collect_song_paths(inputs):
                         if not (isinstance(names, list) and names
                                 and all(isinstance(n, str) for n in names)):
                             raise TypeError(f"'files' holds {names!r:.80}")
+                        for n in names:
+                            if os.path.basename(n) != n or n in ("", ".", ".."):
+                                raise ValueError(f"{n!r:.80} is not a plain file name")
                     except (ValueError, KeyError, TypeError) as e:
                         raise ValueError(f"corpus manifest {manifest} is not a JSON object "
-                                         f"with a non-empty 'files' list of names: {e!r}") from e
+                                         f"with a non-empty 'files' list of file names "
+                                         f"in its directory: {e!r}") from e
                 for name in names:
                     paths.append(os.path.join(item, name))
                     if not os.path.isfile(paths[-1]):

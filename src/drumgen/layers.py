@@ -33,9 +33,6 @@ class LinearLayer:
     def forward(self, x):
         return ad.add(ad.matmul(self.W, x), self.b)
 
-    def parameters(self):
-        return [self.W, self.b]
-
 
 class LSTMLayer:
     """Single LSTM layer with fused gate weights, gate order (i, f, g, o), over
@@ -47,9 +44,6 @@ class LSTMLayer:
 
     def zero_state(self):
         return [Tensor(np.zeros(self.hidden)), Tensor(np.zeros(self.hidden))]
-
-    def parameters(self):
-        return [self.Wx, self.Wh, self.bias]
 
 
 def lstm_step(layer, x, state):

@@ -14,7 +14,7 @@ import math
 import os
 import struct
 import types
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 GRAD_CLIP_NORM = 5.0
-ADAM_CHUNK = 32768  # elements per adam_step slot
+ADAM_CHUNK = 32768  # elements per slice that adam_step updates in turn
 
 
 def has_field_type(value, kind):
@@ -415,58 +415,34 @@ class InferenceRun:
 
 
 # ---------------------------------------------------------------------------
-# Optimizer
+# Adam with global-norm clipping, on the flat buffers of param_shapes
 
 def clip_global_norm(grads, max_norm):
-    """Scale the flat buffer grads in place to an L2 norm (einsum, not BLAS) of at most max_norm."""
+    """Scale the flat buffer grads in place to an L2 norm (einsum, not BLAS) of at most max_norm;
+    returns the norm before clipping."""
     total = math.sqrt(np.einsum("i,i->", grads, grads))
     if total > max_norm:
         grads *= max_norm / total
     return total
 
 
-def adam_step(slots, lr, t):
-    """Adam, in place, on each (value, grad, m, v) slot of four equal-shape vectors, its bias
-    correction folded into step size and epsilon (Kingma & Ba, sec. 2), via one scratch array."""
+def adam_step(values, grads, m, v, lr, t):
+    """Adam, in place, on four equal-length flat buffers, one ADAM_CHUNK slice at a time, its
+    bias correction folded into step size and epsilon (Kingma & Ba, sec. 2), via one scratch array."""
     if t < 1:
         raise ValueError("Adam step counter starts at 1")
     root = math.sqrt(1.0 - ADAM_BETA2 ** t)
     step, eps = lr * root / (1.0 - ADAM_BETA1 ** t), ADAM_EPS * root
-    scratch = np.empty(max(len(slot[0]) for slot in slots))
-    for value, grad, m, v in slots:
+    scratch = np.empty(min(len(values), ADAM_CHUNK))
+    for a in range(0, len(values), ADAM_CHUNK):
+        value, grad, mc, vc = (buf[a:a + ADAM_CHUNK] for buf in (values, grads, m, v))
         s = scratch[:len(value)]
-        m *= ADAM_BETA1
-        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
-        v *= ADAM_BETA2
-        v += np.multiply(np.square(grad, out=s), 1.0 - ADAM_BETA2, out=s)
-        s = np.add(np.sqrt(v, out=s), eps, out=s)
-        value -= np.multiply(np.divide(m, s, out=s), step, out=s)
-
-
-class Optimizer:
-    """Adam with global-norm gradient clipping, tracking its own step
-    count. values, grads and Adam's moments m and v are flat buffers of
-    param_shapes(config); adam_step runs on ADAM_CHUNK slices of all four."""
-
-    def __init__(self, config, values, grads):
-        self.config, self.values, self.grads = config, values, grads
-        self.t = 0
-        self.m = np.zeros(values.shape)
-        self.v = np.zeros(values.shape)
-        bufs = (values, grads, self.m, self.v)
-        self._slots = [tuple(buf[a:a + ADAM_CHUNK] for buf in bufs)
-                       for a in range(0, len(values), ADAM_CHUNK)]
-
-    def step(self, grad_scale=1.0):
-        """Scale, clip and apply the accumulated gradients, then zero
-        them; returns the global gradient norm before clipping."""
-        if grad_scale != 1.0:
-            self.grads *= grad_scale
-        norm = clip_global_norm(self.grads, GRAD_CLIP_NORM)
-        self.t += 1
-        adam_step(self._slots, self.config.learning_rate, self.t)
-        self.grads[...] = 0.0
-        return norm
+        mc *= ADAM_BETA1
+        mc += np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
+        vc *= ADAM_BETA2
+        vc += np.multiply(np.square(grad, out=s), 1.0 - ADAM_BETA2, out=s)
+        s = np.add(np.sqrt(vc, out=s), eps, out=s)
+        value -= np.multiply(np.divide(mc, s, out=s), step, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +479,6 @@ class Weights(_FlatValues):
     state (load_weights): enough for generate, refused by train(resume=)."""
     config: ModelConfig
     values: np.ndarray
-
-
-def make_checkpoint(opt, rng, epoch, loss_history):
-    """A Checkpoint that shares the buffers of opt."""
-    return Checkpoint(opt.config, epoch, opt.values, opt.m, opt.v, opt.t,
-                      copy.deepcopy(rng.bit_generator.state), list(loss_history))
 
 
 def _model_order(config):
@@ -601,11 +571,14 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
           resume=None, log_every=0, on_snapshot=None):
     """Seeded training over a list of EncodedSequence pieces.
 
+    The training state is one Checkpoint: init_values(config, rng) with
+    zero moments, or a deep copy of resume, which is left as it was.
     Per epoch: shuffle pieces, cut each into seq_len slices (recurrent
     state persists across a piece's slices, resets between pieces), and
-    take one clipped Adam step per batch_size slices on the averaged
-    gradients. Each batch runs as lanes (lane_batch_backward). At each
-    snapshot epoch (ints of at least 1; those at or past epochs, or not
+    take one step per batch_size slices on the averaged gradients:
+    clip_global_norm, then adam_step on the state's buffers. Each batch
+    runs as lanes (lane_batch_backward). At each snapshot epoch
+    (ints of at least 1; those at or past epochs, or not
     past resume's epoch, are skipped) calls on_snapshot(checkpoint) with a
     Checkpoint that shares the training buffers and is valid only during
     the call; by default it appends a copy to the returned list. Returns
@@ -635,25 +608,29 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
         raise TypeError(f"config must be a ModelConfig when not resuming, "
                         f"got {type(config).__name__}")
     if resume is None:
-        rng = np.random.default_rng(seed)
-        values = init_values(config, rng)
-        opt = Optimizer(config, values, np.zeros(values.shape))
-        loss_history = []
+        draw = np.random.default_rng(seed)
+        values = init_values(config, draw)
+        state = Checkpoint(config, 0, values, np.zeros(values.shape), np.zeros(values.shape),
+                           0, draw.bit_generator.state)
     else:
         if config is not None and config != resume.config:
             differ = [f.name for f in fields(ModelConfig)
                       if getattr(config, f.name) != getattr(resume.config, f.name)]
             raise ValueError(f"config differs from the resumed checkpoint's in {differ}")
         _check_buffers(resume, ("values", "m", "v"))
-        config = resume.config
-        opt = Optimizer(config, resume.values.copy(), np.zeros(resume.values.shape))
-        opt.t, opt.m[...], opt.v[...] = resume.adam_t, resume.m, resume.v
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = copy.deepcopy(resume.rng_state)
-        loss_history = list(resume.loss_history)
+        state = copy.deepcopy(resume)
+    config = state.config
     for index, seq in enumerate(corpus):
         _check_piece(seq, config, index)
-    w, dw = (_views(buf, param_shapes(config)) for buf in (opt.values, opt.grads))
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state.rng_state
+    grads = np.zeros(state.values.shape)
+    w, dw = (_views(buf, param_shapes(config)) for buf in (state.values, grads))
+
+    def taken(epoch):
+        """A Checkpoint at epoch that shares state's buffers."""
+        return replace(state, epoch=epoch, rng_state=rng.bit_generator.state,
+                       loss_history=list(state.loss_history))
 
     checkpoints = []
     if on_snapshot is None:
@@ -673,18 +650,23 @@ def train(corpus, config, epochs, snapshot_epochs=(50, 150), seed=0,
             for (_, _, a, b), loss in zip(batch, losses):
                 loss_sum += loss * (b - a)
                 step_count += b - a
-            norm = opt.step(grad_scale=1.0 / len(batch))
+            if len(batch) > 1:
+                grads *= 1.0 / len(batch)
+            norm = clip_global_norm(grads, GRAD_CLIP_NORM)
+            state.adam_t += 1
+            adam_step(state.values, grads, state.m, state.v, config.learning_rate, state.adam_t)
+            grads[...] = 0.0
             if not (np.isfinite(norm) and np.isfinite(sum(losses))):
                 pieces = sorted({key for key, _, _, _ in batch})
                 raise FloatingPointError(
                     f"epoch {epoch}: non-finite loss or gradient norm in the batch "
                     f"of pieces {pieces} (loss {sum(losses)}, gradient norm {norm})")
-        loss_history.append(loss_sum / step_count)
+        state.loss_history.append(loss_sum / step_count)
         if log_every and epoch % log_every == 0:
-            print(f"epoch {epoch}: per-step loss {loss_history[-1]:.4f}")
+            print(f"epoch {epoch}: per-step loss {state.loss_history[-1]:.4f}")
         if epoch in snaps:
-            on_snapshot(make_checkpoint(opt, rng, epoch, loss_history))
-    checkpoints.append(make_checkpoint(opt, rng, epochs, loss_history))
+            on_snapshot(taken(epoch))
+    checkpoints.append(taken(epochs))
     return checkpoints
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -16,7 +18,10 @@ from drumgen.encoding import encode_sequence, load_song, quantize_song
 from drumgen.features import GLOBAL_FEATURE_NAMES, read_features_csv, write_features_csv
 from drumgen.layers import SMALL_STEP_UNITS
 from drumgen import model as dm_model
-from drumgen.model import load_checkpoint
+from drumgen.model import ModelConfig, load_checkpoint
+from drumgen.sampling import GenerationConfig
+from drumgen.synth import SynthConfig
+from drumgen.tsne import tsne_embed
 
 
 def run_cli(argv):
@@ -221,6 +226,47 @@ def test_option_row_from_config_and_flag(tmp_path, opt, command):
                         opt.name)
     assert from_config == opt.type(config_value) != opt.type(opt.default)
     assert from_flag == opt.type(flag_text) != from_config
+
+
+# each OPTIONS default that restates a library default: (rows, owner, the owner's name for it)
+LIBRARY_DEFAULTS = [
+    *((row, ModelConfig, name) for row, name in [
+        ("hidden", "hidden"), ("dropout", "dropout"), ("wpast", "w_past"),
+        ("wfuture", "w_future"), ("learning_rate", "learning_rate"), ("seq_len", "seq_len"),
+        ("batch_size", "batch_size")]),
+    *((row, SynthConfig, name) for row, name in [
+        ("songs", "n_songs"), ("bars", "bars_per_song"), ("meters", "meters"),
+        (("tempo_min", "tempo_max"), "tempo_range"), ("phrase_len", "phrase_len"),
+        ("seed", "seed")]),
+    *((row, GenerationConfig, name) for row, name in [
+        ("temperature", "temperature"), ("seed_steps", "seed_steps"), ("seed", "rng_seed")]),
+    *((row, dm_model.train, name) for row, name in [
+        ("snapshots", "snapshot_epochs"), ("seed", "seed"), ("log_every", "log_every")]),
+    ("perplexity", tsne_embed, "perplexity"),
+    ("iterations", tsne_embed, "iterations"),
+]
+
+
+def test_option_defaults_equal_the_library_defaults():
+    """cli.OPTIONS states 21 defaults a second time; each equals, in type
+    and value, the library's own after its row's type parses it. Every
+    other row is a CLI-only setting."""
+    def library(owner, name):
+        if dataclasses.is_dataclass(owner):
+            return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+        return inspect.signature(owner).parameters[name].default
+
+    def parsed(row):
+        opt = cli._BY_NAME[row]
+        return opt.type(opt.default)
+    pairs = [(rows, name, tuple(map(parsed, rows)) if isinstance(rows, tuple) else parsed(rows),
+              library(owner, name)) for rows, owner, name in LIBRARY_DEFAULTS]
+    assert len(pairs) == 21
+    assert [(rows, name, ours, theirs) for rows, name, ours, theirs in pairs
+            if (type(ours), ours) != (type(theirs), theirs)] == []
+    restated = {row for rows, _, _ in LIBRARY_DEFAULTS
+                for row in (rows if isinstance(rows, tuple) else (rows,))}
+    assert set(cli._BY_NAME) - restated == {"style", "epochs", "label"}
 
 
 def test_readme_cli_examples_parse():
@@ -450,16 +496,24 @@ def test_embed_rejects_empty_features_file(tmp_path, capsys):
     ('["a.json"]', "TypeError"),
     ('{"files": "ab"}', "TypeError(\"'files' holds 'ab'\")"),
     ('{"files": [1]}', "TypeError(\"'files' holds [1]\")"),
+    ('{"files": ["../x.json"]}', "ValueError(\"'../x.json' is not a plain file name\")"),
+    ('{"files": ["ROOT/x.json"]}', "ValueError(\"'ROOT/x.json' is not a plain file name\")"),
+    ('{"files": ["sub/x.json"]}', "ValueError(\"'sub/x.json' is not a plain file name\")"),
+    ('{"files": ["a.json", ".."]}', "ValueError(\"'..' is not a plain file name\")"),
 ])
 def test_corpus_manifest_malformed_is_named(tmp_path, capsys, text, message):
-    (tmp_path / "corpus").mkdir()
-    (tmp_path / "corpus" / "manifest.json").write_text(text)
+    """Each entry must name a file in the manifest's directory: a path is
+    refused even where it leads to a song file (ROOT is the absolute tmp_path)."""
+    (tmp_path / "corpus" / "sub").mkdir(parents=True)
+    for song in (tmp_path / "x.json", tmp_path / "corpus" / "sub" / "x.json"):
+        song.write_text(json.dumps({"bars": [BAR_4_4]}))
+    (tmp_path / "corpus" / "manifest.json").write_text(text.replace("ROOT", str(tmp_path)))
     code = run_cli(["train", str(tmp_path / "corpus"), "--epochs", "1", "--out",
                     str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 1
     assert "corpus manifest " in err and "manifest.json is not a JSON object" in err
-    assert message in err
+    assert message.replace("ROOT", str(tmp_path)) in err
     assert not (tmp_path / "run").exists()
 
 

@@ -19,8 +19,7 @@ from drumgen import model as dm
 from drumgen.autodiff import Tape, backward, finite_diff_check
 from drumgen.encoding import (COND_DIM, STREAM_NAMES, VOCAB_SIZES, EncodedSequence,
                               condition_windows, encode_sequence, quantize_song)
-from drumgen.model import (ModelConfig, ModelParams, Optimizer,
-                           adam_step, clip_global_norm, forward_step,
+from drumgen.model import (ModelConfig, ModelParams, adam_step, clip_global_norm, forward_step,
                            load_checkpoint, save_checkpoint, sequence_loss,
                            train)
 from drumgen.sampling import ConditionTrack, GenerationConfig, generate
@@ -172,13 +171,15 @@ def test_post_window_changes_outputs_but_not_states():
 
 def test_loss_decreases_after_one_optimizer_step(tiny_corpus):
     params = ModelParams(tiny_config(dropout=0.0), np.random.default_rng(8))
-    opt = Optimizer(params.config, params.values, params.grads)
     seq = tiny_corpus[0]
     with Tape() as tape:
         loss, _ = sequence_loss(params, seq, 0, 8)
     before = float(loss.data)
     backward(loss, tape)
-    opt.step()
+    clip_global_norm(params.grads, dm.GRAD_CLIP_NORM)
+    n = len(params.values)
+    adam_step(params.values, params.grads, np.zeros(n), np.zeros(n),
+              params.config.learning_rate, 1)
     after, _ = sequence_loss(params, seq, 0, 8)
     assert float(after.data) < before
 
@@ -207,24 +208,23 @@ def test_clip_global_norm():
 
 def test_adam_zero_gradient_keeps_params():
     value = np.array([1.0, -2.0])
-    adam_step([(value, np.zeros(2), np.zeros(2), np.zeros(2))], lr=0.1, t=1)
+    adam_step(value, np.zeros(2), np.zeros(2), np.zeros(2), lr=0.1, t=1)
     npt.assert_array_equal(value, [1.0, -2.0])
 
 
 def test_adam_moments_decay_on_zero_gradient():
     m, v = np.array([0.4]), np.array([0.9])
-    adam_step([(np.array([1.0]), np.zeros(1), m, v)], lr=0.0, t=1)
+    adam_step(np.array([1.0]), np.zeros(1), m, v, lr=0.0, t=1)
     npt.assert_allclose(m, [0.4 * 0.9])
     npt.assert_allclose(v, [0.9 * 0.999])
 
 
 def test_adam_constant_gradient_converges_to_lr_step():
-    value = np.array([0.0])
-    slot = (value, np.array([3.0]), np.zeros(1), np.zeros(1))
+    value, grad, m, v = np.array([0.0]), np.array([3.0]), np.zeros(1), np.zeros(1)
     lr = 1e-2
     prev = value.copy()
     for t in range(1, 400):
-        adam_step([slot], lr, t)
+        adam_step(value, grad, m, v, lr, t)
         step = prev - value
         prev = value.copy()
     npt.assert_allclose(step, [lr], rtol=1e-3)  # magnitude -> lr, sign following
@@ -348,6 +348,39 @@ def test_resume_matches_uninterrupted_training(tiny_corpus, tmp_path):
     assert resumed.loss_history == full.loss_history
     for name in full.tensors:
         npt.assert_array_equal(resumed.tensors[name], full.tensors[name])
+
+
+def assert_same_state(got, want):
+    """Equal epoch, adam_t, RNG state and loss history, and values, m and v bit for bit."""
+    for name in ("epoch", "adam_t", "rng_state", "loss_history"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("values", "m", "v"):
+        npt.assert_array_equal(getattr(got, name).view(np.uint64),
+                               getattr(want, name).view(np.uint64))
+
+
+def test_resume_from_the_initial_state_matches_a_fresh_run(tiny_corpus):
+    """A fresh run and a resume set up the one training state alike: resuming
+    from the epoch-0 checkpoint gives the fresh run's checkpoint bit for bit."""
+    cfg = tiny_config()
+    start = train(tiny_corpus, cfg, epochs=0, snapshot_epochs=(), seed=12)[-1]
+    assert start.adam_t == 0 and not start.m.any() and not start.v.any()
+    fresh = train(tiny_corpus, cfg, epochs=2, snapshot_epochs=(), seed=12)[-1]
+    resumed = train(tiny_corpus, None, epochs=2, snapshot_epochs=(), resume=start)[-1]
+    assert_same_state(resumed, fresh)
+
+
+def test_resume_leaves_the_checkpoint_as_it_was(tiny_corpus):
+    """train(resume=ckpt) trains a copy: ckpt's buffers and training values
+    are not changed, so it can be resumed again to the same result."""
+    ckpt = train(tiny_corpus, tiny_config(), epochs=1, snapshot_epochs=(), seed=13)[-1]
+    before = copy.deepcopy(ckpt)
+    first = train(tiny_corpus, None, epochs=3, snapshot_epochs=(2,), resume=ckpt)
+    assert_same_state(ckpt, before)
+    assert first[-1].values is not ckpt.values
+    again = train(tiny_corpus, None, epochs=3, snapshot_epochs=(2,), resume=ckpt)
+    for got, want in zip(again, first, strict=True):
+        assert_same_state(got, want)
 
 
 def test_resume_from_weights_only_rejected(tiny_corpus, tmp_path):
@@ -692,12 +725,15 @@ def test_optimizer_step_returns_norm_before_clipping():
     params = ModelParams(tiny_config(), np.random.default_rng(15))
     plist = params.parameters()
     plist[0].grad[...] = 3.0
-    norm = Optimizer(params.config, params.values, params.grads).step(grad_scale=0.5)
+    params.grads *= 0.5  # train's scaling by 1 / batch size
+    norm = clip_global_norm(params.grads, dm.GRAD_CLIP_NORM)
     npt.assert_allclose(norm, 1.5 * np.sqrt(plist[0].data.size))
+    assert norm > dm.GRAD_CLIP_NORM
+    npt.assert_allclose(np.linalg.norm(params.grads), dm.GRAD_CLIP_NORM)
 
 
 def test_clip_norm_is_one_reduction_over_the_flat_buffer():
-    """Optimizer.step returns the gradient norm as one einsum over the flat
+    """clip_global_norm returns the gradient norm as one einsum over the flat
     gradient buffer (name order), bit for bit; on these gradients the sum of
     per-tensor dot products in ModelParams.parameters()' order is another float."""
     params = ModelParams(tiny_config(hidden=48), np.random.default_rng(0))
@@ -705,7 +741,7 @@ def test_clip_norm_is_one_reduction_over_the_flat_buffer():
     want = math.sqrt(np.einsum("i,i->", params.grads, params.grads))
     assert np.sqrt(sum(float(np.dot(p.grad.ravel(), p.grad.ravel()))
                        for p in params.parameters())) != want
-    assert Optimizer(params.config, params.values, params.grads).step() == want
+    assert clip_global_norm(params.grads, dm.GRAD_CLIP_NORM) == want
 
 
 THREADED_STEP = """
@@ -714,8 +750,11 @@ import numpy as np
 from drumgen import model as dm
 cfg = dm.ModelConfig(hidden=256)
 values = dm.init_values(cfg, np.random.default_rng(0))
-opt = dm.Optimizer(cfg, values, np.random.default_rng(6).normal(size=values.shape))
-print(repr(opt.step()), *(hashlib.sha256(b).hexdigest() for b in (opt.values, opt.m, opt.v)))
+grads = np.random.default_rng(6).normal(size=values.shape)
+m, v = np.zeros(values.shape), np.zeros(values.shape)
+norm = dm.clip_global_norm(grads, dm.GRAD_CLIP_NORM)
+dm.adam_step(values, grads, m, v, cfg.learning_rate, 1)
+print(repr(norm), *(hashlib.sha256(b).hexdigest() for b in (values, m, v)))
 """
 
 
@@ -753,21 +792,23 @@ def test_init_values_is_an_explicit_glorot_draw(hidden, layers):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_optimizer_step_equals_adam_over_the_whole_buffers():
-    """Adam runs on ADAM_CHUNK slices, the shorter last one included; the
-    update is that of one slot over the whole buffers, bit for bit."""
+def test_optimizer_step_equals_adam_over_the_whole_buffers(monkeypatch):
+    """adam_step runs on ADAM_CHUNK slices, the shorter last one included; the
+    update is that of one slice over the whole buffers, bit for bit."""
     params = ModelParams(tiny_config(hidden=48), np.random.default_rng(16))
     n = len(params.values)
     assert n > 2 * dm.ADAM_CHUNK and n % dm.ADAM_CHUNK
-    opt = Optimizer(params.config, params.values, params.grads)
-    value, m, v = params.values.copy(), np.zeros(n), np.zeros(n)
+    lr = params.config.learning_rate
+    chunked = (params.values, np.zeros(n), np.zeros(n))
+    whole = (params.values.copy(), np.zeros(n), np.zeros(n))
     rng = np.random.default_rng(17)
     for t in (1, 2):
-        grad = rng.normal(size=n) * 1e-3  # norm about 0.35: no clipping
-        params.grads[...] = grad
-        opt.step()
-        adam_step([(value, grad, m, v)], params.config.learning_rate, t)
-        for got, want in ((params.values, value), (opt.m, m), (opt.v, v)):
+        grad = rng.normal(size=n) * 1e-3
+        adam_step(chunked[0], grad, *chunked[1:], lr, t)
+        with monkeypatch.context() as patch:
+            patch.setattr(dm, "ADAM_CHUNK", n)
+            adam_step(whole[0], grad, *whole[1:], lr, t)
+        for got, want in zip(chunked, whole):
             npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
